@@ -1,16 +1,17 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all check test test-race lint-registry lbcalc-smoke fuzz-smoke remote-smoke cluster-smoke bench bench-smoke bench-baseline bench-json experiments experiments-full examples lint
+.PHONY: all check test test-race lint-registry lbcalc-smoke perfbench-test fuzz-smoke remote-smoke cluster-smoke bench bench-smoke bench-measure bench-baseline bench-json experiments experiments-full examples lint
 
 # The hot-path micro-benchmarks: field exponentiation/inversion, ℓ₀
 # sketch updates (scalar and banked — L0Update also matches
 # L0UpdateBlock, FieldPow also matches FieldPowBlock), the columnar bank
-# cycle, the per-vertex AGM sketching cost, and the dynamic-stream batch
-# apply (DynStreamApply matches both the Scalar and Block variants).
-# bench-smoke and the informational CI job share this selection with
-# bench/baseline.txt.
-BENCH_HOT := FieldPow|FieldInv|L0Update|L0Sample|BankUpdate|AGMSketchVertex|DynStreamApply
-BENCH_HOT_PKGS := ./internal/field/ ./internal/l0/ ./internal/agm/ ./internal/dynstream/
+# cycle, the per-vertex AGM sketching cost, the dynamic-stream batch
+# apply (DynStreamApply matches both the Scalar and Block variants), the
+# transcript codec on six ~2 MB AGM-family reports, and one in-process
+# /v1/run cache hit on a ~2 MB entry. bench-smoke and the informational
+# CI job share this selection with bench/baseline.txt.
+BENCH_HOT := FieldPow|FieldInv|L0Update|L0Sample|BankUpdate|AGMSketchVertex|DynStreamApply|WireReportEncodeLarge|WireReportDecodeLarge|ServerHitLarge
+BENCH_HOT_PKGS := ./internal/field/ ./internal/l0/ ./internal/agm/ ./internal/dynstream/ ./internal/wire/ ./internal/server/
 
 # The engine-level block-vs-scalar pair the bench guard watches; the
 # ratio between the two is machine-independent enough to gate on.
@@ -22,10 +23,11 @@ all: check
 # over the concurrency-bearing packages (engine scheduler, the cclique
 # protocols it drives in parallel, and the fault injector that perturbs
 # them from inside the worker pool), then the registry drift guard, then
-# the block-vs-scalar performance guard (the allocation-regression tests
-# — TestUpdateBlockZeroAlloc, TestBlockKernelsZeroAlloc — already run
-# inside `test`).
-check: test test-race lint-registry lbcalc-smoke bench-guard
+# the benchmark module's own vet and tests, then the block-vs-scalar
+# performance guard (the allocation-regression tests —
+# TestUpdateBlockZeroAlloc, TestBlockKernelsZeroAlloc, and the wire
+# codec's Test*Alloc* guards — already run inside `test`).
+check: test test-race lint-registry lbcalc-smoke perfbench-test bench-guard
 
 # bench-guard fails when the columnar block path regresses by more than
 # 10% relative to the scalar path, compared against the block/scalar
@@ -50,6 +52,12 @@ lint-registry:
 # end-to-end regression gate.
 lbcalc-smoke:
 	./scripts/lbcalc-smoke.sh
+
+# perfbench-test vets and tests the service benchmark (perfbench/), a
+# module of its own that the root `go test ./...` never builds, against
+# the wire, server and client code it calls.
+perfbench-test:
+	cd perfbench && go vet ./... && go test ./...
 
 test:
 	go build ./... && go vet ./... && go test ./...
@@ -94,13 +102,20 @@ bench:
 bench-smoke:
 	go test -run='^$$' -bench='$(BENCH_HOT)' -benchtime=1x -benchmem $(BENCH_HOT_PKGS)
 
+# bench-measure runs the hot-path selection and the engine pair at the
+# baseline's settings and writes the results to BENCH_OUT. The CI
+# benchstat job runs it with BENCH_OUT set to a scratch file.
+BENCH_OUT ?= bench/baseline.txt
+bench-measure:
+	mkdir -p $(dir $(BENCH_OUT))
+	go test -run='^$$' -bench='$(BENCH_HOT)' -benchtime=100ms -count=5 -benchmem $(BENCH_HOT_PKGS) | tee $(BENCH_OUT)
+	go test -run='^$$' -bench='$(BENCH_ENGINE)' -benchtime=1x -count=5 -benchmem . | tee -a $(BENCH_OUT)
+
 # bench-baseline refreshes bench/baseline.txt, the checked-in reference
 # the CI benchstat diff compares against. Re-run on a quiet machine after
 # intentional performance work and commit the result.
 bench-baseline:
-	mkdir -p bench
-	go test -run='^$$' -bench='$(BENCH_HOT)' -benchtime=100ms -count=5 -benchmem $(BENCH_HOT_PKGS) | tee bench/baseline.txt
-	go test -run='^$$' -bench='$(BENCH_ENGINE)' -benchtime=1x -count=5 -benchmem . | tee -a bench/baseline.txt
+	$(MAKE) bench-measure BENCH_OUT=bench/baseline.txt
 
 # bench-json refreshes the committed BENCH_NNNN.json snapshot: the
 # hot-path micro-benchmarks plus a short loadgen run against a caching

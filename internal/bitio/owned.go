@@ -1,5 +1,7 @@
 package bitio
 
+import "fmt"
+
 // Ownership-transfer writers for the block sketching fast path. Sealing a
 // round normally copies every message's bits into transcript-owned
 // buffers — the immutability guarantee — which at n = 10⁴ re-moves ~60 MB
@@ -14,6 +16,22 @@ package bitio
 // steal at seal time. The producer must not use the writer after handing
 // it to the engine. Release is a no-op for owned writers.
 func NewOwnedWriter() *Writer { return &Writer{owned: true} }
+
+// NewOwnedWriterFrom returns an owned writer holding the nbit bits already
+// packed in buf (LSB-first, Writer's own layout), adopting buf instead of
+// copying it. It is the decode-side counterpart of Detach: a codec that
+// has copied a message into a fresh buffer seals it through the steal
+// path with no second copy. buf must be exactly ⌈nbit/8⌉ bytes with zero
+// padding bits, and the caller must not touch it afterwards.
+func NewOwnedWriterFrom(buf []byte, nbit int) *Writer {
+	if nbit < 0 || len(buf) != (nbit+7)/8 {
+		panic(fmt.Sprintf("bitio: %d-byte buffer cannot hold exactly %d bits", len(buf), nbit))
+	}
+	if rem := nbit % 8; rem != 0 && buf[len(buf)-1]>>uint(rem) != 0 {
+		panic("bitio: adopted buffer has non-zero padding bits")
+	}
+	return &Writer{buf: buf, nbit: nbit, owned: true}
+}
 
 // Owned reports whether the writer's buffer may be stolen at seal time.
 func (w *Writer) Owned() bool { return w.owned }

@@ -136,3 +136,50 @@ func TestOwnedDetach(t *testing.T) {
 		t.Fatal("Release mutated an owned writer")
 	}
 }
+
+// TestNewOwnedWriterFrom pins the adopting constructor: the writer reads
+// back the adopted bits, extends them like any writer, detaches the very
+// buffer it adopted, and rejects buffers of the wrong size or with
+// non-zero padding.
+func TestNewOwnedWriterFrom(t *testing.T) {
+	ref := &Writer{}
+	ref.WriteUint(0x2b5, 11)
+	buf := append([]byte(nil), ref.Bytes()...)
+	w := NewOwnedWriterFrom(buf, 11)
+	if !w.Owned() || w.Len() != 11 || !bytes.Equal(w.Bytes(), ref.Bytes()) {
+		t.Fatalf("adopted writer = (%x, %d bits, owned %v), want (%x, 11 bits, owned)", w.Bytes(), w.Len(), w.Owned(), ref.Bytes())
+	}
+	if v, err := ReaderFor(w).ReadUint(11); err != nil || v != 0x2b5 {
+		t.Fatalf("read back %#x, %v; want 0x2b5", v, err)
+	}
+	got, nbit := w.Detach()
+	if nbit != 11 || &got[0] != &buf[0] {
+		t.Fatal("Detach did not hand back the adopted buffer")
+	}
+
+	grown := NewOwnedWriterFrom(append([]byte(nil), ref.Bytes()...), 11)
+	grown.WriteUint(0x1f, 5)
+	ref.WriteUint(0x1f, 5)
+	if grown.Len() != ref.Len() || !bytes.Equal(grown.Bytes(), ref.Bytes()) {
+		t.Fatal("writing after adoption diverges from a plain writer")
+	}
+	if empty := NewOwnedWriterFrom(nil, 0); empty.Len() != 0 {
+		t.Fatal("empty adoption is not empty")
+	}
+
+	for name, adopt := range map[string]func(){
+		"short":       func() { NewOwnedWriterFrom([]byte{1}, 9) },
+		"long":        func() { NewOwnedWriterFrom([]byte{1, 0}, 8) },
+		"negative":    func() { NewOwnedWriterFrom(nil, -1) },
+		"bad-padding": func() { NewOwnedWriterFrom([]byte{0x80}, 7) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: adoption did not panic", name)
+				}
+			}()
+			adopt()
+		}()
+	}
+}

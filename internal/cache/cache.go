@@ -2,7 +2,8 @@
 // the referee service. Keys are content addresses — in the daemon they
 // are canonical wire.RunSpec encodings, so two requests share an entry
 // iff they describe bit-identical executions — and values are opaque
-// byte slices (encoded result payloads).
+// byte slices (encoded result payloads), optionally led by a tag byte of
+// the caller's that GetTagged matches.
 //
 // The determinism contract is what makes memoization correct here:
 // a seed-only spec fully determines its transcript, so serving a stored
@@ -107,6 +108,24 @@ func (c *LRU) Get(key string) ([]byte, bool) {
 	defer c.mu.Unlock()
 	n, ok := c.entries[key]
 	if !ok {
+		c.misses++
+		return nil, false
+	}
+	c.hits++
+	c.unlink(n)
+	c.pushFront(n)
+	return n.val, true
+}
+
+// GetTagged is Get for callers that tag their values with a leading byte
+// and can use only values carrying tag. A value under key with any other
+// first byte does not answer the lookup: it counts as a miss and keeps
+// its recency, exactly as if key were absent.
+func (c *LRU) GetTagged(key string, tag byte) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n, ok := c.entries[key]
+	if !ok || len(n.val) == 0 || n.val[0] != tag {
 		c.misses++
 		return nil, false
 	}

@@ -95,6 +95,31 @@ func TestPutIfAbsent(t *testing.T) {
 	}
 }
 
+// TestGetTagged: only a value led by the wanted tag answers the lookup; a
+// differently tagged value counts as a miss and keeps its recency.
+func TestGetTagged(t *testing.T) {
+	per := cost("k", []byte{1, 'x'})
+	c := New(2 * per)
+	c.Put("a", []byte{0, 'x'})
+	c.Put("b", []byte{1, 'x'})
+	if _, ok := c.GetTagged("a", 1); ok {
+		t.Fatal("value tagged 0 answered a lookup for tag 1")
+	}
+	if got, ok := c.GetTagged("b", 1); !ok || string(got) != "\x01x" {
+		t.Fatalf("GetTagged(b, 1) = %q, %v", got, ok)
+	}
+	if _, ok := c.GetTagged("absent", 1); ok {
+		t.Fatal("absent key answered a lookup")
+	}
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 2 {
+		t.Fatalf("stats %+v, want 1 hit / 2 misses", s)
+	}
+	c.Put("c", []byte{1, 'x'}) // the rejected lookup left a least recent
+	if c.Contains("a") || !c.Contains("b") {
+		t.Fatal("a rejected lookup refreshed its entry's recency")
+	}
+}
+
 func TestZeroBudgetStoresNothing(t *testing.T) {
 	c := New(0)
 	c.Put("a", []byte("x"))

@@ -44,6 +44,15 @@ func (t *Transcript) Message(round, v int) *bitio.Reader {
 	return bitio.NewReader(m.buf, m.nbit)
 }
 
+// AppendMessage appends player v's broadcast in the given sealed round to
+// dst as ⌈BitLen/8⌉ packed bytes (LSB-first, bitio.Writer's layout) and
+// returns the extended slice. It copies, so nothing the caller holds
+// aliases sealed storage; codecs use it to move a message in one copy
+// instead of reading it back bit by bit.
+func (t *Transcript) AppendMessage(dst []byte, round, v int) []byte {
+	return append(dst, t.rounds[round][v].buf...)
+}
+
 // BitLen returns the length in bits of player v's broadcast in the given
 // sealed round.
 func (t *Transcript) BitLen(round, v int) int { return t.rounds[round][v].nbit }
@@ -117,6 +126,13 @@ func (t *Transcript) SealFeedback(w *bitio.Writer) {
 func (t *Transcript) Feedback(round int) *bitio.Reader {
 	m := t.feedback[round]
 	return bitio.NewReader(m.buf, m.nbit)
+}
+
+// AppendFeedback appends the referee's feedback broadcast sealed after the
+// given round to dst, packed like AppendMessage, and returns the extended
+// slice (dst itself for an empty slot).
+func (t *Transcript) AppendFeedback(dst []byte, round int) []byte {
+	return append(dst, t.feedback[round].buf...)
 }
 
 // FeedbackBitLen returns the length in bits of the referee's feedback

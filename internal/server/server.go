@@ -22,11 +22,14 @@
 // context dies), every execution runs under a per-request timeout, and
 // each request emits one structured log line.
 //
-// When Config.CacheBytes is set, results are memoized in a
-// digest-keyed LRU: the key is the canonical spec encoding
-// (wire.SpecCacheKey), which by the determinism contract is a content
-// address for the result, so a hit serves stored bytes that are
-// byte-identical to a fresh execution's response.
+// When Config.CacheBytes is set, results are memoized in an LRU keyed by
+// the canonical spec encoding (wire.SpecCacheKey), which by the
+// determinism contract is a content address for the result, so a hit
+// serves stored bytes that are byte-identical to a fresh execution's
+// response. A /v1/run entry keeps the transcript's digest beside the
+// result, so a hit costs one copy of the stored bytes into a frame plus
+// a decode of the stats and outcome prefix: it neither rebuilds the
+// transcript nor hashes it again.
 package server
 
 import (
@@ -77,13 +80,41 @@ type Config struct {
 }
 
 // Cached result values are tagged with their richness: full entries
-// carry stats+outcome+transcript (populated by /v1/run and servable
-// everywhere), summary entries carry stats+outcome only (populated by
-// /v1/batch, where transcripts never materialize).
+// carry the transcript's digest and stats+outcome+transcript (populated
+// by /v1/run and servable everywhere), summary entries carry
+// stats+outcome only (populated by /v1/batch, where transcripts never
+// materialize):
+//
+//	full:    cacheFull, digest (wire.DigestLen bytes), result payload
+//	summary: cacheSummary, summary payload
 const (
 	cacheSummary byte = 0
 	cacheFull    byte = 1
 )
+
+// fullEntry builds the cache value of a /v1/run result.
+func fullEntry(digest string, result []byte) []byte {
+	val := make([]byte, 0, 1+len(digest)+len(result))
+	val = append(val, cacheFull)
+	val = append(val, digest...)
+	return append(val, result...)
+}
+
+// entryResult returns the result payload of a cache value of either
+// richness, or nil when the value is too short to hold one.
+func entryResult(val []byte) []byte {
+	if len(val) == 0 {
+		return nil
+	}
+	head := 1
+	if val[0] == cacheFull {
+		head += wire.DigestLen
+	}
+	if len(val) < head {
+		return nil
+	}
+	return val[head:]
+}
 
 // Server handles the referee service endpoints. It is an http.Handler;
 // use Serve for a managed listener with graceful shutdown.
@@ -237,18 +268,23 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// Cache fast path: a full entry under this spec's content address
 	// is served without queueing for an execution slot at all — the
 	// stored bytes re-frame under this request's spec echo into exactly
-	// the response a fresh execution would produce.
+	// the response a fresh execution would produce. A summary entry
+	// (from /v1/batch) cannot answer a run: it counts as a miss.
 	var key string
 	if s.results != nil {
 		key = wire.SpecCacheKey(spec)
-		if val, ok := s.results.Get(key); ok && val[0] == cacheFull {
-			frame := wire.EncodeRunReportForSpec(spec, val[1:])
-			report, err := wire.DecodeRunReport(frame)
+		if val, ok := s.results.GetTagged(key, cacheFull); ok {
+			result := entryResult(val)
+			stats, outcome, err := wire.DecodeResultSummary(result)
 			if err != nil {
 				fail(w, http.StatusInternalServerError, "corrupt cached result for %q: %v", spec.Label, err)
 				return
 			}
-			s.serveRun(w, r, frame, report, true)
+			s.serveRun(w, r, runResponse{
+				spec: spec, stats: &stats, outcome: outcome,
+				digest: string(val[1 : 1+wire.DigestLen]), cached: true,
+				frame: func() []byte { return wire.EncodeRunReportForSpec(spec, result) },
+			})
 			return
 		}
 	}
@@ -265,29 +301,45 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		fail(w, execStatus(err), "execute %q: %v", spec.Label, err)
 		return
 	}
-	if s.results != nil {
-		s.results.Put(key, append([]byte{cacheFull}, wire.EncodeResultPayload(report)...))
+	resp := runResponse{spec: spec, stats: &report.Stats, outcome: report.Outcome, digest: report.Digest()}
+	if s.results == nil {
+		resp.frame = func() []byte { return wire.EncodeRunReport(report) }
+	} else {
+		result := wire.EncodeResultPayload(report)
+		s.results.Put(key, fullEntry(resp.digest, result))
+		resp.frame = func() []byte { return wire.EncodeRunReportForSpec(spec, result) }
 	}
-	s.serveRun(w, r, wire.EncodeRunReport(report), report, false)
+	s.serveRun(w, r, resp)
 }
 
-// serveRun writes a /v1/run response from an encoded report frame and
-// its decoded form — one response path for the fresh and cached cases,
-// so both transports emit byte-identical frames by construction.
-func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, frame []byte, report *wire.RunReport, cached bool) {
+// runResponse is what a /v1/run response and its log record need, from a
+// fresh execution or a cache hit alike. frame builds the binary body; a
+// JSON response never calls it.
+type runResponse struct {
+	spec    wire.RunSpec
+	stats   *engine.RunStats
+	outcome wire.Outcome
+	digest  string
+	cached  bool
+	frame   func() []byte
+}
+
+// serveRun writes a /v1/run response — one response path for the fresh
+// and cached cases, so both emit byte-identical frames by construction.
+func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, resp runResponse) {
 	s.log.LogAttrs(r.Context(), slog.LevelInfo, "run",
-		slog.String("label", report.Spec.Label),
-		slog.String("protocol", report.Spec.Protocol),
-		slog.String("digest", report.Digest()),
-		slog.String("resilience", report.Stats.Faults.Resilience.String()),
-		slog.Bool("cached", cached),
+		slog.String("label", resp.spec.Label),
+		slog.String("protocol", resp.spec.Protocol),
+		slog.String("digest", resp.digest),
+		slog.String("resilience", resp.stats.Faults.Resilience.String()),
+		slog.Bool("cached", resp.cached),
 	)
 	if wantsJSON(r) {
-		writeJSON(w, wire.ReportToJSON(report, false))
+		writeJSON(w, wire.SummaryToJSON(resp.spec, resp.stats, resp.outcome, resp.digest))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(frame)
+	w.Write(resp.frame())
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -312,7 +364,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for i, spec := range specs {
 			items[i].Label = spec.Label
 			if val, ok := s.results.Get(wire.SpecCacheKey(spec)); ok {
-				stats, outcome, err := wire.DecodeResultSummary(val[1:])
+				stats, outcome, err := wire.DecodeResultSummary(entryResult(val))
 				if err == nil {
 					items[i].Stats = stats
 					items[i].Outcome = outcome

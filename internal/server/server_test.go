@@ -209,13 +209,11 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// TestRunJSONResponse checks the Accept: application/json form of
-// /v1/run: a ReportJSON with stats, outcome, resilience, and digest but
-// no transcript — the same shape sketchlab -json emits.
-func TestRunJSONResponse(t *testing.T) {
-	ts, _ := newTestServer(t, server.Config{})
-	spec := wire.SmokeSpecs(1)[7] // faulted mis-tworound
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/run", bytes.NewReader(wire.EncodeRunSpec(spec)))
+// runJSON posts spec to /v1/run under Accept: application/json and
+// decodes the ReportJSON response.
+func runJSON(t *testing.T, base string, spec wire.RunSpec) wire.ReportJSON {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/run", bytes.NewReader(wire.EncodeRunSpec(spec)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,6 +233,16 @@ func TestRunJSONResponse(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&j); err != nil {
 		t.Fatal(err)
 	}
+	return j
+}
+
+// TestRunJSONResponse checks the Accept: application/json form of
+// /v1/run: a ReportJSON with stats, outcome, resilience, and digest but
+// no transcript — the same shape sketchlab -json emits.
+func TestRunJSONResponse(t *testing.T) {
+	ts, _ := newTestServer(t, server.Config{})
+	spec := wire.SmokeSpecs(1)[7] // faulted mis-tworound
+	j := runJSON(t, ts.URL, spec)
 	local, err := wire.ExecuteSpec(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -247,6 +255,147 @@ func TestRunJSONResponse(t *testing.T) {
 	}
 	if len(j.Transcript) != 0 {
 		t.Fatal("JSON response should omit the transcript")
+	}
+}
+
+// runRecord is one "run" log record of the daemon.
+type runRecord struct {
+	label, digest, resilience string
+	cached                    bool
+}
+
+// runLog is a slog.Handler that keeps the daemon's "run" records.
+type runLog struct {
+	mu   sync.Mutex
+	recs []runRecord
+}
+
+func (l *runLog) Enabled(context.Context, slog.Level) bool { return true }
+func (l *runLog) WithAttrs([]slog.Attr) slog.Handler       { return l }
+func (l *runLog) WithGroup(string) slog.Handler            { return l }
+
+func (l *runLog) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "run" {
+		return nil
+	}
+	var rec runRecord
+	r.Attrs(func(a slog.Attr) bool {
+		switch a.Key {
+		case "label":
+			rec.label = a.Value.String()
+		case "digest":
+			rec.digest = a.Value.String()
+		case "resilience":
+			rec.resilience = a.Value.String()
+		case "cached":
+			rec.cached = a.Value.Bool()
+		}
+		return true
+	})
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.recs = append(l.recs, rec)
+	return nil
+}
+
+// last returns the most recent record logged for label.
+func (l *runLog) last(t *testing.T, label string) runRecord {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for i := len(l.recs) - 1; i >= 0; i-- {
+		if l.recs[i].label == label {
+			return l.recs[i]
+		}
+	}
+	t.Fatalf("no run record logged for %q", label)
+	return runRecord{}
+}
+
+// TestCacheHitAcrossForms serves each spec's miss in one response form and
+// its hit in the other: a JSON hit after a binary miss, a binary hit after
+// a JSON miss. Every response carries the fresh run's digest and
+// resilience, and so does each hit's log record, marked cached.
+func TestCacheHitAcrossForms(t *testing.T) {
+	logs := &runLog{}
+	ts, c := newTestServer(t, server.Config{CacheBytes: 1 << 22, Logger: slog.New(logs)})
+	for _, tc := range []struct {
+		spec    wire.RunSpec
+		jsonHit bool
+	}{
+		{wire.SmokeSpecs(1)[7], true},  // faulted mis-tworound
+		{wire.SmokeSpecs(1)[5], false}, // faulted agm-forest-backup
+	} {
+		local, err := wire.ExecuteSpec(context.Background(), tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := runRecord{digest: local.Digest(), resilience: local.Stats.Faults.Resilience.String()}
+		binary := func(label string) runRecord {
+			spec := tc.spec
+			spec.Label = label
+			report, err := c.Run(context.Background(), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return runRecord{digest: report.Digest(), resilience: report.Stats.Faults.Resilience.String()}
+		}
+		viaJSON := func(label string) runRecord {
+			spec := tc.spec
+			spec.Label = label
+			j := runJSON(t, ts.URL, spec)
+			return runRecord{digest: j.Digest, resilience: j.Resilience}
+		}
+		miss, hit := binary, viaJSON
+		if !tc.jsonHit {
+			miss, hit = viaJSON, binary
+		}
+		missLabel, hitLabel := tc.spec.Label+"/miss", tc.spec.Label+"/hit"
+		if got := miss(missLabel); got != want {
+			t.Fatalf("%s: fresh response %+v, want %+v", missLabel, got, want)
+		}
+		if got := hit(hitLabel); got != want {
+			t.Fatalf("%s: cached response %+v, want %+v", hitLabel, got, want)
+		}
+		for label, cached := range map[string]bool{missLabel: false, hitLabel: true} {
+			got := logs.last(t, label)
+			if got.digest != want.digest || got.resilience != want.resilience || got.cached != cached {
+				t.Fatalf("%s: logged %+v, want digest %s, resilience %s, cached=%v",
+					label, got, want.digest, want.resilience, cached)
+			}
+		}
+	}
+	if st := fetchStats(t, ts.URL); st.Cache.Hits != 2 || st.Cache.Misses != 2 {
+		t.Fatalf("cache counters %+v, want 2 hits / 2 misses", st.Cache)
+	}
+}
+
+// TestRunAfterBatchCountsMiss: a batch caches only a stats+outcome
+// summary, which cannot answer a /v1/run. The run that finds it executes,
+// so its lookup is a miss, not a hit; the full entry it stores then
+// answers the next run.
+func TestRunAfterBatchCountsMiss(t *testing.T) {
+	ts, c := newTestServer(t, server.Config{CacheBytes: 1 << 20})
+	spec := wire.SmokeSpecs(1)[3] // mm-tworound
+	local, err := wire.ExecuteSpec(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.RunBatch(context.Background(), []wire.RunSpec{spec}); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []struct{ hits, misses int64 }{{0, 2}, {1, 2}} {
+		report, err := c.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if report.Digest() != local.Digest() {
+			t.Fatalf("run %d: digest %s, want %s", i, report.Digest(), local.Digest())
+		}
+		if st := fetchStats(t, ts.URL); st.Cache.Hits != want.hits || st.Cache.Misses != want.misses {
+			t.Fatalf("after batch and run %d: cache counters %+v, want %d hits / %d misses",
+				i, st.Cache, want.hits, want.misses)
+		}
 	}
 }
 

@@ -15,12 +15,16 @@ package wire
 //
 // The cached value is the result payload: stats, outcome, transcript,
 // in exactly the layout EncodeRunReport uses after the spec echo.
-// Serving a hit is therefore pure concatenation — re-frame the stored
-// bytes under the requesting spec's echo — and the response is
-// byte-identical to what a fresh execution would have produced, except
-// that the stats' wall-time and scheduling fields describe the
-// execution that populated the cache (bit counts, outcome, resilience,
-// and the transcript itself are execution-independent).
+// Serving a hit is therefore pure concatenation — EncodeRunReportForSpec
+// re-frames the stored bytes under the requesting spec's echo in one
+// copy — and the response is byte-identical to what a fresh execution
+// would have produced, except that the stats' wall-time and scheduling
+// fields describe the execution that populated the cache (bit counts,
+// outcome, resilience, and the transcript itself are
+// execution-independent). A hit never needs the transcript as a value:
+// DecodeResultSummary reads the stats and outcome prefix, and the
+// daemon stores the transcript's digest (DigestLen bytes) beside the
+// payload when it stores the result, so a hit computes neither.
 
 import "repro/internal/engine"
 
@@ -30,7 +34,9 @@ import "repro/internal/engine"
 func SpecCacheKey(s RunSpec) string {
 	s.Label = ""
 	s.Workers = 0
-	var e enc
+	size := enc{sizing: true}
+	appendRunSpecPayload(&size, s)
+	e := size.payload()
 	appendRunSpecPayload(&e, s)
 	return string(e.b)
 }
@@ -39,21 +45,32 @@ func SpecCacheKey(s RunSpec) string {
 // report — stats, outcome, transcript — the value a result cache
 // stores under SpecCacheKey.
 func EncodeResultPayload(r *RunReport) []byte {
-	var e enc
-	appendRunStatsPayload(&e, &r.Stats)
-	appendOutcomePayload(&e, r.Outcome)
-	appendTranscriptPayload(&e, r.Transcript)
+	size := enc{sizing: true}
+	appendResultPayload(&size, r)
+	e := size.payload()
+	appendResultPayload(&e, r)
 	return e.b
+}
+
+func appendResultPayload(e *enc, r *RunReport) {
+	appendResultSummary(e, &r.Stats, r.Outcome)
+	appendTranscriptPayload(e, r.Transcript)
 }
 
 // EncodeResultSummary serializes only the stats and outcome — the
 // portion a batch item carries. A summary is a prefix of the full
 // result payload, so DecodeResultSummary reads either form.
 func EncodeResultSummary(stats *engine.RunStats, o Outcome) []byte {
-	var e enc
-	appendRunStatsPayload(&e, stats)
-	appendOutcomePayload(&e, o)
+	size := enc{sizing: true}
+	appendResultSummary(&size, stats, o)
+	e := size.payload()
+	appendResultSummary(&e, stats, o)
 	return e.b
+}
+
+func appendResultSummary(e *enc, stats *engine.RunStats, o Outcome) {
+	appendRunStatsPayload(e, stats)
+	appendOutcomePayload(e, o)
 }
 
 // DecodeResultSummary decodes the stats and outcome prefix of a cached
@@ -73,10 +90,14 @@ func DecodeResultSummary(result []byte) (engine.RunStats, Outcome, error) {
 // complete RunReport response echoing spec — byte-identical to
 // EncodeRunReport of a report computed fresh for spec (modulo the
 // stats caveat above), because both the spec payload and the stored
-// result payload are canonical encodings.
+// result payload are canonical encodings. The result is copied once,
+// into a frame allocated at its exact size.
 func EncodeRunReportForSpec(spec RunSpec, result []byte) []byte {
-	var e enc
+	size := enc{sizing: true}
+	appendRunSpecPayload(&size, spec)
+	size.raw(result)
+	e := size.frame(kindRunReport)
 	appendRunSpecPayload(&e, spec)
 	e.raw(result)
-	return appendFrame(kindRunReport, e.b)
+	return e.b
 }

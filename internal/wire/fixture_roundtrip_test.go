@@ -138,14 +138,18 @@ func readFixtureFeedback(t *testing.T, path string) map[int]*bitio.Writer {
 }
 
 // TestGoldenFixtureWireRoundTrip asserts decode(encode(t)) is
-// byte-identical for every committed golden transcript, and that the
-// digest is stable across the round trip.
+// byte-identical for every committed golden transcript, that the encoding
+// matches the bit-serial reference codec's, and that the digest is stable
+// across the round trip.
 func TestGoldenFixtureWireRoundTrip(t *testing.T) {
 	for _, path := range goldenFixturePaths(t) {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
 			want := readFixtureTranscript(t, path)
 			enc1 := EncodeTranscript(want)
+			if !bytes.Equal(enc1, referenceEncodeTranscript(want)) {
+				t.Fatal("encoding differs from the reference codec's")
+			}
 			got, err := DecodeTranscript(enc1)
 			if err != nil {
 				t.Fatal(err)

@@ -8,6 +8,8 @@ package wire
 import (
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/engine"
 )
 
 // ReportJSON is the JSON form of RunReport. Transcript is the full
@@ -26,17 +28,24 @@ type ReportJSON struct {
 // controls whether the full transcript frame rides along or only its
 // digest.
 func ReportToJSON(r *RunReport, withTranscript bool) ReportJSON {
-	j := ReportJSON{
-		Spec:       r.Spec,
-		Stats:      StatsToJSON(&r.Stats),
-		Outcome:    r.Outcome,
-		Resilience: r.Stats.Faults.Resilience.String(),
-		Digest:     r.Digest(),
-	}
+	j := SummaryToJSON(r.Spec, &r.Stats, r.Outcome, r.Digest())
 	if withTranscript {
 		j.Transcript = EncodeTranscript(r.Transcript)
 	}
 	return j
+}
+
+// SummaryToJSON builds the transcript-less JSON form of a report from its
+// parts, for callers that hold the transcript's digest but not the
+// transcript itself — the daemon's cache hits.
+func SummaryToJSON(spec RunSpec, stats *engine.RunStats, o Outcome, digest string) ReportJSON {
+	return ReportJSON{
+		Spec:       spec,
+		Stats:      StatsToJSON(stats),
+		Outcome:    o,
+		Resilience: stats.Faults.Resilience.String(),
+		Digest:     digest,
+	}
 }
 
 // ReportFromJSON converts the JSON form back to a RunReport. A report

@@ -146,12 +146,13 @@ func ExecuteBatch(ctx context.Context, e *engine.Engine, specs []RunSpec) []Batc
 
 // EncodeRunReport serializes a report as one frame.
 func EncodeRunReport(r *RunReport) []byte {
-	var e enc
+	size := enc{sizing: true}
+	appendRunSpecPayload(&size, r.Spec)
+	appendResultPayload(&size, r)
+	e := size.frame(kindRunReport)
 	appendRunSpecPayload(&e, r.Spec)
-	appendRunStatsPayload(&e, &r.Stats)
-	appendOutcomePayload(&e, r.Outcome)
-	appendTranscriptPayload(&e, r.Transcript)
-	return appendFrame(kindRunReport, e.b)
+	appendResultPayload(&e, r)
+	return e.b
 }
 
 // DecodeRunReport inverts EncodeRunReport.
@@ -192,15 +193,21 @@ func decodeOutcomePayload(d *dec) Outcome {
 
 // EncodeBatchReport serializes batch results as one frame.
 func EncodeBatchReport(items []BatchItem) []byte {
-	var e enc
+	size := enc{sizing: true}
+	appendBatchReportPayload(&size, items)
+	e := size.frame(kindBatchReport)
+	appendBatchReportPayload(&e, items)
+	return e.b
+}
+
+func appendBatchReportPayload(e *enc, items []BatchItem) {
 	e.uint(len(items))
 	for i := range items {
 		e.str(items[i].Label)
 		e.str(items[i].Err)
-		appendRunStatsPayload(&e, &items[i].Stats)
-		appendOutcomePayload(&e, items[i].Outcome)
+		appendRunStatsPayload(e, &items[i].Stats)
+		appendOutcomePayload(e, items[i].Outcome)
 	}
-	return appendFrame(kindBatchReport, e.b)
 }
 
 // DecodeBatchReport inverts EncodeBatchReport.

@@ -236,9 +236,11 @@ func (s RunSpec) Validate() error {
 
 // EncodeRunSpec serializes a spec as one frame.
 func EncodeRunSpec(s RunSpec) []byte {
-	var e enc
+	size := enc{sizing: true}
+	appendRunSpecPayload(&size, s)
+	e := size.frame(kindRunSpec)
 	appendRunSpecPayload(&e, s)
-	return appendFrame(kindRunSpec, e.b)
+	return e.b
 }
 
 func appendRunSpecPayload(e *enc, s RunSpec) {
@@ -307,12 +309,18 @@ func decodeRunSpecPayload(d *dec) RunSpec {
 
 // EncodeBatchSpec serializes a batch of specs as one frame.
 func EncodeBatchSpec(specs []RunSpec) []byte {
-	var e enc
+	size := enc{sizing: true}
+	appendBatchSpecPayload(&size, specs)
+	e := size.frame(kindBatchSpec)
+	appendBatchSpecPayload(&e, specs)
+	return e.b
+}
+
+func appendBatchSpecPayload(e *enc, specs []RunSpec) {
 	e.uint(len(specs))
 	for _, s := range specs {
-		appendRunSpecPayload(&e, s)
+		appendRunSpecPayload(e, s)
 	}
-	return appendFrame(kindBatchSpec, e.b)
 }
 
 // DecodeBatchSpec inverts EncodeBatchSpec.

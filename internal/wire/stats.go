@@ -17,9 +17,11 @@ import (
 
 // EncodeRunStats serializes run stats as one frame.
 func EncodeRunStats(s *engine.RunStats) []byte {
-	var e enc
+	size := enc{sizing: true}
+	appendRunStatsPayload(&size, s)
+	e := size.frame(kindRunStats)
 	appendRunStatsPayload(&e, s)
-	return appendFrame(kindRunStats, e.b)
+	return e.b
 }
 
 func appendRunStatsPayload(e *enc, s *engine.RunStats) {

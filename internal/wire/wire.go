@@ -28,6 +28,16 @@
 // allocate more than the input length can justify, so a short hostile
 // frame cannot balloon memory.
 //
+// Transcript bits move in bulk. A sealed message is already packed
+// LSB-first into ⌈bits/8⌉ bytes, the wire's own layout, so the encoder
+// copies each message into the frame whole (through
+// engine.Transcript.AppendMessage, clearing the final byte's padding
+// bits), and the decoder copies each one out once into a buffer the
+// transcript adopts (bitio.NewOwnedWriterFrom) after checking its
+// padding. Every encoder sizes its payload first and allocates its
+// output once, at the exact length. reference_test.go holds a
+// bit-at-a-time reference codec and checks that both emit the same bytes.
+//
 // Digest compatibility. Version 2 added the referee feedback lane
 // (engine.Adaptive) to the transcript payload: after each round's player
 // messages the payload carries the round's feedback bit-length and packed
@@ -43,11 +53,13 @@
 package wire
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/bitio"
 	"repro/internal/engine"
@@ -98,15 +110,6 @@ func kindName(k byte) string {
 // labels, error texts); nothing legitimate comes close.
 const maxStringLen = 1 << 12
 
-// appendFrame wraps a payload in the versioned frame header.
-func appendFrame(kind byte, payload []byte) []byte {
-	out := make([]byte, 0, len(payload)+6+binary.MaxVarintLen64)
-	out = append(out, magic[:]...)
-	out = append(out, Version, kind)
-	out = binary.AppendUvarint(out, uint64(len(payload)))
-	return append(out, payload...)
-}
-
 // openFrame validates the header of data and returns the payload. The
 // frame must carry exactly the declared payload — truncated or trailing
 // bytes are errors, which keeps encodings canonical.
@@ -134,22 +137,97 @@ func openFrame(data []byte, wantKind byte) ([]byte, error) {
 	return payload, nil
 }
 
-// enc is an append-only payload encoder.
-type enc struct{ b []byte }
+// enc is an append-only payload encoder. Every encoder runs its payload
+// twice: first through a sizing enc (enc{sizing: true}), which appends
+// nothing and only counts bytes, then through the enc that frame or
+// payload returns, whose buffer is allocated once at exactly that count.
+type enc struct {
+	b      []byte
+	n      int // bytes counted by a sizing enc
+	sizing bool
+}
 
-func (e *enc) uvarint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
-func (e *enc) uint(v int)       { e.uvarint(uint64(v)) }
-func (e *enc) u64(v uint64)     { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *enc) f64(v float64)    { e.u64(math.Float64bits(v)) }
-func (e *enc) raw(p []byte)     { e.b = append(e.b, p...) }
-func (e *enc) byte(b byte)      { e.b = append(e.b, b) }
-func (e *enc) str(s string)     { e.uint(len(s)); e.b = append(e.b, s...) }
+// frame ends a sizing pass: it allocates a frame for exactly the payload
+// counted so far, writes its header, and returns the enc that appends the
+// payload.
+func (e *enc) frame(kind byte) enc {
+	buf := make([]byte, 0, 6+uvarintLen(uint64(e.n))+e.n)
+	buf = append(buf, magic[:]...)
+	buf = append(buf, Version, kind)
+	return enc{b: binary.AppendUvarint(buf, uint64(e.n))}
+}
+
+// payload ends a sizing pass for a bare payload, one with no frame header.
+func (e *enc) payload() enc { return enc{b: make([]byte, 0, e.n)} }
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func (e *enc) uvarint(v uint64) {
+	if e.sizing {
+		e.n += uvarintLen(v)
+		return
+	}
+	e.b = binary.AppendUvarint(e.b, v)
+}
+
+func (e *enc) uint(v int)    { e.uvarint(uint64(v)) }
+func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
+
+func (e *enc) u64(v uint64) {
+	if e.sizing {
+		e.n += 8
+		return
+	}
+	e.b = binary.LittleEndian.AppendUint64(e.b, v)
+}
+
+func (e *enc) raw(p []byte) {
+	if e.sizing {
+		e.n += len(p)
+		return
+	}
+	e.b = append(e.b, p...)
+}
+
+func (e *enc) byte(b byte) {
+	if e.sizing {
+		e.n++
+		return
+	}
+	e.b = append(e.b, b)
+}
+
+func (e *enc) str(s string) {
+	e.uint(len(s))
+	if e.sizing {
+		e.n += len(s)
+		return
+	}
+	e.b = append(e.b, s...)
+}
 
 func (e *enc) bool(v bool) {
 	if v {
 		e.byte(1)
 	} else {
 		e.byte(0)
+	}
+}
+
+// packed appends one message: its bit-length, then the ⌈nbit/8⌉ packed bytes
+// that appendPacked appends in one copy (a transcript accessor), with the
+// final byte's padding bits cleared so the encoding is canonical whatever
+// sealed storage holds past the last bit.
+func (e *enc) packed(nbit int, appendPacked func(dst []byte) []byte) {
+	e.uint(nbit)
+	if e.sizing {
+		e.n += (nbit + 7) / 8
+		return
+	}
+	e.b = appendPacked(e.b)
+	if rem := nbit % 8; rem != 0 {
+		e.b[len(e.b)-1] &= 1<<rem - 1
 	}
 }
 
@@ -305,11 +383,14 @@ func (d *dec) done() error {
 // plus the packed bits (LSB-first, exactly bitio.Writer's layout, final
 // byte zero-padded), and finally the round's referee feedback bit-length
 // plus packed bits (empty — a lone zero — for every round of a
-// non-adaptive protocol).
+// non-adaptive protocol). Sealed messages already use that layout, so
+// each one is copied into the frame whole.
 func EncodeTranscript(t *engine.Transcript) []byte {
-	var e enc
+	size := enc{sizing: true}
+	appendTranscriptPayload(&size, t)
+	e := size.frame(kindTranscript)
 	appendTranscriptPayload(&e, t)
-	return appendFrame(kindTranscript, e.b)
+	return e.b
 }
 
 func appendTranscriptPayload(e *enc, t *engine.Transcript) {
@@ -317,35 +398,23 @@ func appendTranscriptPayload(e *enc, t *engine.Transcript) {
 		e.uint(0)
 		return
 	}
-	packBits := func(r *bitio.Reader, nbit int) {
-		for rem := nbit; rem > 0; rem -= 8 {
-			w := min(rem, 8)
-			b, _ := r.ReadUint(w)
-			e.byte(byte(b))
-		}
-	}
 	e.uint(t.Rounds())
 	for round := 0; round < t.Rounds(); round++ {
 		players := t.Players(round)
 		e.uint(players)
 		for v := 0; v < players; v++ {
-			nbit := t.BitLen(round, v)
-			e.uint(nbit)
-			packBits(t.Message(round, v), nbit)
+			e.packed(t.BitLen(round, v), func(dst []byte) []byte { return t.AppendMessage(dst, round, v) })
 		}
-		fbBits := t.FeedbackBitLen(round)
-		e.uint(fbBits)
-		if fbBits > 0 {
-			packBits(t.Feedback(round), fbBits)
-		}
+		e.packed(t.FeedbackBitLen(round), func(dst []byte) []byte { return t.AppendFeedback(dst, round) })
 	}
 }
 
 // DecodeTranscript inverts EncodeTranscript, rebuilding a sealed
-// engine.Transcript under the engine's immutability contract. Corrupt
-// input yields an error, never a panic; non-zero padding bits in a
-// message's final byte are rejected so that decode(encode(t)) re-encodes
-// byte-identically.
+// engine.Transcript under the engine's immutability contract: each
+// message is copied once into a buffer the transcript owns, so the result
+// never aliases data. Corrupt input yields an error, never a panic;
+// non-zero padding bits in a message's final byte are rejected so that
+// decode(encode(t)) re-encodes byte-identically.
 func DecodeTranscript(data []byte) (*engine.Transcript, error) {
 	payload, err := openFrame(data, kindTranscript)
 	if err != nil {
@@ -361,13 +430,17 @@ func DecodeTranscript(data []byte) (*engine.Transcript, error) {
 
 func decodeTranscriptPayload(d *dec) *engine.Transcript {
 	t := engine.NewTranscript()
-	readMessage := func(round, v int, what string) *bitio.Writer {
-		nbit := d.int(what + " bit-length")
+	// readMessage copies one message out of the payload into an owned
+	// writer, which sealing then steals instead of copying again. The
+	// error labels come whole rather than concatenated per call, so a
+	// message allocates only its buffer and its writer.
+	readMessage := func(round, v int, lenWhat, bitsWhat, what string) *bitio.Writer {
+		nbit := d.int(lenWhat)
 		if d.err != nil {
 			return nil
 		}
 		nb := (nbit + 7) / 8
-		buf := d.raw(nb, what+" bits")
+		buf := d.raw(nb, bitsWhat)
 		if d.err != nil {
 			return nil
 		}
@@ -378,23 +451,19 @@ func decodeTranscriptPayload(d *dec) *engine.Transcript {
 		if nbit == 0 {
 			return nil
 		}
-		w := &bitio.Writer{}
-		for i, rem := 0, nbit; rem > 0; i, rem = i+1, rem-8 {
-			w.WriteUint(uint64(buf[i]), min(rem, 8))
-		}
-		return w
+		return bitio.NewOwnedWriterFrom(bytes.Clone(buf), nbit)
 	}
 	rounds := d.length("round", 1)
 	for round := 0; round < rounds; round++ {
 		players := d.length("player", 1)
 		msgs := make([]*bitio.Writer, players)
 		for v := 0; v < players; v++ {
-			msgs[v] = readMessage(round, v, "message")
+			msgs[v] = readMessage(round, v, "message bit-length", "message bits", "message")
 			if d.err != nil {
 				return t
 			}
 		}
-		fb := readMessage(round, 0, "feedback")
+		fb := readMessage(round, 0, "feedback bit-length", "feedback bits", "feedback")
 		if d.err != nil {
 			return t
 		}
@@ -403,6 +472,9 @@ func decodeTranscriptPayload(d *dec) *engine.Transcript {
 	}
 	return t
 }
+
+// DigestLen is the length of every TranscriptDigest: hex SHA-256.
+const DigestLen = 2 * sha256.Size
 
 // TranscriptDigest returns a stable content address of a transcript: the
 // hex SHA-256 of its canonical encoding. Because the encoding is
