@@ -7,11 +7,14 @@
 # L0UpdateBlock, FieldPow also matches FieldPowBlock), the columnar bank
 # cycle, the per-vertex AGM sketching cost, the dynamic-stream batch
 # apply (DynStreamApply matches both the Scalar and Block variants), the
-# transcript codec on six ~2 MB AGM-family reports, and one in-process
-# /v1/run cache hit on a ~2 MB entry. bench-smoke and the informational
-# CI job share this selection with bench/baseline.txt.
-BENCH_HOT := FieldPow|FieldInv|L0Update|L0Sample|BankUpdate|AGMSketchVertex|DynStreamApply|WireReportEncodeLarge|WireReportDecodeLarge|ServerHitLarge
-BENCH_HOT_PKGS := ./internal/field/ ./internal/l0/ ./internal/agm/ ./internal/dynstream/ ./internal/wire/ ./internal/server/
+# transcript codec on six ~2 MB AGM-family reports, one in-process
+# /v1/run cache hit on a ~2 MB entry, the AGM forest referee at
+# sketch-batch's size (AGMDecode runs the scalar reference and the banked
+# referee side by side), and the bulk 61-bit unpack kernel. bench-smoke
+# and the informational CI job share this selection with
+# bench/baseline.txt.
+BENCH_HOT := FieldPow|FieldInv|L0Update|L0Sample|BankUpdate|AGMSketchVertex|DynStreamApply|WireReportEncodeLarge|WireReportDecodeLarge|ServerHitLarge|AGMDecode|BitioUnpack61
+BENCH_HOT_PKGS := ./internal/field/ ./internal/l0/ ./internal/agm/ ./internal/dynstream/ ./internal/wire/ ./internal/server/ ./internal/bitio/
 
 # The engine-level block-vs-scalar pair the bench guard watches; the
 # ratio between the two is machine-independent enough to gate on.
@@ -77,6 +80,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzWireDecodeTranscript -fuzztime=30s ./internal/wire
 	go test -run='^$$' -fuzz=FuzzWireDecodeRunStats -fuzztime=30s ./internal/wire
 	go test -run='^$$' -fuzz=FuzzDynStreamDecode -fuzztime=30s ./internal/dynstream
+	go test -run='^$$' -fuzz=FuzzAGMForestDecode -fuzztime=30s ./internal/agm
 
 # remote-smoke is the end-to-end service parity check CI runs: boot a
 # refereed daemon on a loopback port, run the fixture sweep locally at

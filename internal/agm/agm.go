@@ -141,118 +141,18 @@ func writeIncidenceStack(w *bitio.Writer, sps []l0.Spec, view core.VertexView, w
 	return cs
 }
 
-// Decode implements core.Protocol: Borůvka over merged sketches.
+// Decode implements core.Protocol: Borůvka over merged sketches, read
+// round by round through the banked referee (referee.go).
 func (p *ForestProtocol) Decode(n int, sketches []*bitio.Reader, coins *rng.PublicCoins) ([]graph.Edge, error) {
 	cfg := p.cfg.withDefaults(n)
-	sps := specs(n, cfg, coins)
-	perVertex, err := readVertexSketches(n, sps, sketches)
-	if err != nil {
+	st := newStacks(n, specs(n, cfg, coins), cfg.Reps)
+	for v := range st.starts {
+		st.starts[v] = *sketches[v]
+	}
+	if err := st.checkStacks(st.sps, sketches[:n]); err != nil {
 		return nil, err
 	}
-	return boruvka(n, cfg, sps, perVertex)
-}
-
-// readVertexSketches deserializes every vertex's sampler stack.
-func readVertexSketches(n int, sps []l0.Spec, sketches []*bitio.Reader) ([][]*l0.Sketch, error) {
-	perVertex := make([][]*l0.Sketch, n)
-	for v := 0; v < n; v++ {
-		perVertex[v] = make([]*l0.Sketch, len(sps))
-		for i, sp := range sps {
-			sk, err := sp.ReadSketch(sketches[v])
-			if err != nil {
-				return nil, fmt.Errorf("agm: vertex %d sampler %d: %w", v, i, err)
-			}
-			perVertex[v][i] = sk
-		}
-	}
-	return perVertex, nil
-}
-
-// boruvka recovers a spanning forest from per-vertex sampler stacks,
-// merging sketches as components join. It consumes perVertex.
-func boruvka(n int, cfg Config, sps []l0.Spec, perVertex [][]*l0.Sketch) ([]graph.Edge, error) {
-	// Component state: parent pointers plus the merged sketch stack of
-	// each root.
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	compSketch := perVertex // roots own their merged sketches
-
-	var forest []graph.Edge
-	for round := 0; round < cfg.Rounds; round++ {
-		// Collect current roots.
-		var roots []int
-		for v := 0; v < n; v++ {
-			if find(v) == v {
-				roots = append(roots, v)
-			}
-		}
-		if len(roots) == 1 {
-			break
-		}
-		merged := false
-		for _, root := range roots {
-			if find(root) != root {
-				continue // merged earlier this round
-			}
-			for rep := 0; rep < cfg.Reps; rep++ {
-				i := round*cfg.Reps + rep
-				idx, _, ok := sps[i].Sample(compSketch[root][i])
-				if !ok {
-					continue
-				}
-				e, err := edgeFromIndex(n, idx)
-				if err != nil {
-					continue // fingerprint slip; treat as failed sample
-				}
-				ru, rv := find(e.U), find(e.V)
-				if ru == rv {
-					continue // stale or internal (should have cancelled)
-				}
-				forest = append(forest, e)
-				// Merge smaller-rooted into larger is irrelevant; merge rv
-				// into ru and add sketches.
-				parent[rv] = ru
-				for j := range compSketch[ru] {
-					if err := compSketch[ru][j].Add(compSketch[rv][j]); err != nil {
-						return nil, fmt.Errorf("agm: merge: %w", err)
-					}
-				}
-				compSketch[rv] = nil
-				merged = true
-				break
-			}
-		}
-		if !merged && round > 0 {
-			// No component can make progress with the remaining samplers;
-			// later rounds use fresh ones, so keep going unless every
-			// component's boundary is empty (forest complete).
-			allZero := true
-			for _, root := range roots {
-				if find(root) != root {
-					continue
-				}
-				i := round * cfg.Reps
-				if !compSketch[root][i].IsZero() {
-					allZero = false
-					break
-				}
-			}
-			if allZero {
-				break
-			}
-		}
-	}
-	return forest, nil
+	return boruvka(cfg.Rounds, st)
 }
 
 // ComponentsProtocol counts connected components via the spanning forest.

@@ -36,91 +36,67 @@ func backupSpecs(n int, cfg Config, coins *rng.PublicCoins) []l0.Spec {
 // foldChecksum chains per-sketch checksums into a stack checksum.
 func foldChecksum(h, cs uint32) uint32 { return h*0x01000193 ^ cs }
 
-// stackChecksum folds the checksums of a sketch stack.
-func stackChecksum(stack []*l0.Sketch) uint32 {
-	var h uint32
-	for _, sk := range stack {
-		h = foldChecksum(h, sk.Checksum())
+// checkStackTolerant reads one sampler stack tolerantly, always
+// consuming exactly the stack's fixed bit size so that whatever follows
+// (checksums, backup stacks) stays aligned. valid reports whether every
+// element was canonical; err is non-nil only when the message is too
+// short. With withChecksum the stack goes through lane 0 of the bank to
+// fold its checksum over the cells as read, damaged cells zeroed.
+func (st *stacks) checkStackTolerant(r *bitio.Reader, sps []l0.Spec, withChecksum bool) (cs uint32, valid bool, err error) {
+	if r.Remaining() < stackBits(sps) {
+		return 0, false, bitio.ErrShortMessage
 	}
-	return h
-}
-
-// readStackTolerant deserializes one sampler stack, always consuming
-// exactly the stack's fixed bit size so that whatever follows (checksums,
-// backup stacks) stays aligned. valid reports whether every element was
-// canonical; err is non-nil only when the message is too short.
-func readStackTolerant(r *bitio.Reader, sps []l0.Spec) (stack []*l0.Sketch, valid bool, err error) {
-	stack = make([]*l0.Sketch, len(sps))
+	if !withChecksum {
+		return 0, readCanonical(r, st.scratch(len(sps))), nil
+	}
 	valid = true
-	for i, sp := range sps {
-		sk, ok, err := sp.ReadSketchTolerant(r)
-		if err != nil {
-			return nil, false, err
-		}
-		if !ok {
-			valid = false
-		}
-		stack[i] = sk
+	for _, sp := range sps {
+		ok, _ := sp.ReadLaneTolerant(st.bank, 0, r) // cannot run short: length checked above
+		valid = valid && ok
+		cs = foldChecksum(cs, st.bank.LaneChecksum(0))
 	}
-	return stack, valid, nil
+	return cs, valid, nil
 }
 
-// zeroStack returns the all-zero sampler stack: the sketch a vertex with
-// no usable message is replaced by. Linearly it behaves like a vertex
-// whose incidence vector is zero — its edges survive un-cancelled in its
-// neighbors' sketches, so they remain recoverable, but the forest may no
-// longer reach the vertex itself.
-func zeroStack(sps []l0.Spec) []*l0.Sketch {
-	stack := make([]*l0.Sketch, len(sps))
-	for i, sp := range sps {
-		stack[i] = sp.NewSketch()
-	}
-	return stack
-}
-
-// readResilientVertex parses one vertex's forest message: the primary
-// stack, and under BackupReps the two checksums and the backup stack.
-// A short message (drops, truncation) yields neither stack; corruption
-// preserves length, so a damaged primary still leaves the backup section
-// readable at its fixed offset.
-func readResilientVertex(r *bitio.Reader, cfg Config, sps, bsps []l0.Spec) (primary, backup []*l0.Sketch, pGood, bGood bool) {
+// checkResilientVertex parses one vertex's forest message: the primary
+// stack, and under BackupReps the two checksums and the backup stack,
+// reporting which stacks are usable. A short message (drops, truncation)
+// yields neither stack; corruption preserves length, so a damaged
+// primary still leaves the backup section readable at its fixed offset.
+func (st *stacks) checkResilientVertex(r *bitio.Reader, cfg Config, sps, bsps []l0.Spec) (pGood, bGood bool) {
 	if r == nil || r.Remaining() == 0 {
-		return nil, nil, false, false
+		return false, false
 	}
-	stack, ok, err := readStackTolerant(r, sps)
-	if err != nil {
-		return nil, nil, false, false
-	}
-	primary, pGood = stack, ok
-	if cfg.BackupReps == 0 {
-		return primary, nil, pGood, false
+	backup := cfg.BackupReps > 0
+	pcs, pGood, err := st.checkStackTolerant(r, sps, backup)
+	if err != nil || !backup {
+		return err == nil && pGood, false
 	}
 	cs, err := r.ReadUint(32)
 	if err != nil {
-		return primary, nil, false, false
+		return false, false
 	}
-	if uint32(cs) != stackChecksum(stack) {
+	if uint32(cs) != pcs {
 		pGood = false
 	}
-	bstack, bok, err := readStackTolerant(r, bsps)
+	bcs, bGood, err := st.checkStackTolerant(r, bsps, true)
 	if err != nil {
-		return primary, nil, pGood, false
+		return pGood, false
 	}
-	bcs, err := r.ReadUint(32)
-	if err != nil || uint32(bcs) != stackChecksum(bstack) {
-		bok = false
+	if cs, err := r.ReadUint(32); err != nil || uint32(cs) != bcs {
+		bGood = false
 	}
-	return primary, bstack, pGood, bok
+	return pGood, bGood
 }
 
 // DecodeResilient implements core.ResilientProtocol for the spanning
 // forest. Strategy: when every primary stack is intact, decode exactly as
 // Decode does and report ok. Otherwise pick whichever stack family
 // (primary, or the re-derived backup samplers when BackupReps > 0) lost
-// fewer vertices, replace the losses by zero sketches, and run Borůvka
-// over the survivors — a degraded forest that may miss the damaged
-// vertices. When more than half the vertices are unusable the verdict is
-// failed (the best-effort forest is still returned).
+// fewer vertices, read the losses as zero sketches, and run Borůvka over
+// the survivors — a degraded forest that may miss the damaged vertices.
+// When more than half the vertices are unusable the verdict is failed
+// (the best-effort forest is still returned).
 func (p *ForestProtocol) DecodeResilient(n int, sketches []*bitio.Reader, coins *rng.PublicCoins) ([]graph.Edge, core.Resilience, error) {
 	cfg := p.cfg.withDefaults(n)
 	sps := specs(n, cfg, coins)
@@ -129,46 +105,43 @@ func (p *ForestProtocol) DecodeResilient(n int, sketches []*bitio.Reader, coins 
 		bsps = backupSpecs(n, cfg, coins)
 	}
 
-	primary := make([][]*l0.Sketch, n)
-	backup := make([][]*l0.Sketch, n)
+	st := newStacks(n, sps, cfg.Reps)
+	pHole, bHole := make([]bool, n), make([]bool, n)
 	pBad, bBad := 0, 0
 	for v := 0; v < n; v++ {
-		pv, bv, pGood, bGood := readResilientVertex(sketches[v], cfg, sps, bsps)
-		if pGood {
-			primary[v] = pv
-		} else {
+		if r := sketches[v]; r != nil {
+			st.starts[v] = *r
+		}
+		pGood, bGood := st.checkResilientVertex(sketches[v], cfg, sps, bsps)
+		if !pGood {
+			pHole[v] = true
 			pBad++
 		}
-		if bGood {
-			backup[v] = bv
-		} else {
+		if !bGood {
+			bHole[v] = true
 			bBad++
 		}
 	}
 
 	if pBad == 0 {
-		forest, err := boruvka(n, cfg, sps, primary)
+		forest, err := boruvka(cfg.Rounds, st)
 		if err != nil {
 			return nil, core.ResilienceFailed, err
 		}
 		return forest, core.ResilienceOK, nil
 	}
 
-	stacks, useSps, useCfg, holes := primary, sps, cfg, pBad
+	st.hole = pHole
+	holes := pBad
 	if cfg.BackupReps > 0 && bBad < pBad {
-		useCfg.Reps = cfg.BackupReps
-		stacks, useSps, holes = backup, bsps, bBad
-	}
-	for v := 0; v < n; v++ {
-		if stacks[v] == nil {
-			stacks[v] = zeroStack(useSps)
-		}
+		st.sps, st.reps, st.offset, st.hole = bsps, cfg.BackupReps, stackBits(sps)+32, bHole
+		holes = bBad
 	}
 	verdict := core.ResilienceDegraded
 	if 2*holes > n {
 		verdict = core.ResilienceFailed
 	}
-	forest, err := boruvka(n, useCfg, useSps, stacks)
+	forest, err := boruvka(cfg.Rounds, st)
 	if err != nil {
 		return nil, core.ResilienceFailed, err
 	}
@@ -178,66 +151,42 @@ func (p *ForestProtocol) DecodeResilient(n int, sketches []*bitio.Reader, coins 
 // DecodeResilient implements core.ResilientProtocol for the k-forest
 // skeleton. The skeleton encoding carries no checksums or backup stack;
 // resilience is limited to tolerant parsing — a vertex whose message is
-// missing, truncated, or holds non-canonical field elements is replaced
-// by zero sketches in every group — so in-range bit flips can go
-// undetected here (faults.Run's channel record still demotes such runs).
+// missing, truncated, holds non-canonical field elements or carries
+// trailing bits is read as zero sketches in every group — so in-range
+// bit flips can go undetected here (faults.Run's channel record still
+// demotes such runs).
 func (p *SkeletonProtocol) DecodeResilient(n int, sketches []*bitio.Reader, coins *rng.PublicCoins) ([]graph.Edge, core.Resilience, error) {
 	if p.K < 1 {
 		return nil, core.ResilienceFailed, fmt.Errorf("agm: skeleton needs K >= 1, got %d", p.K)
 	}
 	cfgs, groups := p.groupSpecs(n, coins)
-	perGroup := make([][][]*l0.Sketch, p.K)
-	for g := range perGroup {
-		perGroup[g] = make([][]*l0.Sketch, n)
-	}
+	st := newStacks(n, groups[0], cfgs[0].Reps)
+	st.hole = make([]bool, n)
 	holes := 0
 	for v := 0; v < n; v++ {
 		r := sketches[v]
 		good := r != nil && r.Remaining() > 0
-		var stacks [][]*l0.Sketch
 		if good {
-			stacks = make([][]*l0.Sketch, p.K)
-			for g, sps := range groups {
-				stack, ok, err := readStackTolerant(r, sps)
-				if err != nil || !ok {
+			st.starts[v] = *r
+			for _, sps := range groups {
+				if _, valid, err := st.checkStackTolerant(r, sps, false); err != nil || !valid {
 					good = false
 					break
 				}
-				stacks[g] = stack
 			}
 			if good && r.Remaining() != 0 {
 				good = false // trailing garbage: treat the vertex as damaged
 			}
 		}
 		if !good {
+			st.hole[v] = true
 			holes++
-			for g, sps := range groups {
-				perGroup[g][v] = zeroStack(sps)
-			}
-			continue
-		}
-		for g := range groups {
-			perGroup[g][v] = stacks[g]
 		}
 	}
 
-	var certificate []graph.Edge
-	var removed []graph.Edge
-	for g := 0; g < p.K; g++ {
-		sps := groups[g]
-		for _, e := range removed {
-			idx := edgeIndex(n, e.U, e.V)
-			for i, sp := range sps {
-				sp.Update(perGroup[g][e.U][i], idx, -1)
-				sp.Update(perGroup[g][e.V][i], idx, +1)
-			}
-		}
-		forest, err := boruvka(n, cfgs[g], sps, perGroup[g])
-		if err != nil {
-			return certificate, core.ResilienceFailed, err
-		}
-		certificate = append(certificate, forest...)
-		removed = append(removed, forest...)
+	certificate, err := p.peel(cfgs, groups, st)
+	if err != nil {
+		return certificate, core.ResilienceFailed, err
 	}
 	switch {
 	case holes == 0:

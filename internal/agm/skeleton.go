@@ -76,41 +76,37 @@ func (p *SkeletonProtocol) Sketch(view core.VertexView, coins *rng.PublicCoins) 
 	return w, nil
 }
 
-// Decode implements core.Protocol: peel k forests, deleting each forest's
-// edges from the later groups by linear updates.
+// Decode implements core.Protocol: validate every group's stacks, then
+// peel k forests, deleting each forest's edges from the later groups by
+// linear updates.
 func (p *SkeletonProtocol) Decode(n int, sketches []*bitio.Reader, coins *rng.PublicCoins) ([]graph.Edge, error) {
 	if p.K < 1 {
 		return nil, fmt.Errorf("agm: skeleton needs K >= 1, got %d", p.K)
 	}
 	cfgs, groups := p.groupSpecs(n, coins)
-	perGroup := make([][][]*l0.Sketch, p.K)
-	for g, sps := range groups {
-		pv, err := readVertexSketches(n, sps, sketches)
-		if err != nil {
-			return nil, fmt.Errorf("agm: skeleton group %d: %w", g, err)
-		}
-		perGroup[g] = pv
+	st := newStacks(n, groups[0], cfgs[0].Reps)
+	for v := range st.starts {
+		st.starts[v] = *sketches[v]
 	}
-
-	var certificate []graph.Edge
-	var removed []graph.Edge
-	for g := 0; g < p.K; g++ {
-		// Delete all previously-extracted edges from this group.
-		sps := groups[g]
-		for _, e := range removed {
-			idx := edgeIndex(n, e.U, e.V)
-			for i, sp := range sps {
-				// Edge (u,v) contributed +1 at u (u < v) and -1 at v.
-				sp.Update(perGroup[g][e.U][i], idx, -1)
-				sp.Update(perGroup[g][e.V][i], idx, +1)
-			}
-		}
-		forest, err := boruvka(n, cfgs[g], sps, perGroup[g])
-		if err != nil {
+	for g, sps := range groups {
+		if err := st.checkStacks(sps, sketches[:n]); err != nil {
 			return nil, fmt.Errorf("agm: skeleton group %d: %w", g, err)
+		}
+	}
+	return p.peel(cfgs, groups, st)
+}
+
+// peel extracts the K forests group by group: group g's Borůvka runs
+// with every earlier forest's edges subtracted from its samplers.
+func (p *SkeletonProtocol) peel(cfgs []Config, groups [][]l0.Spec, st *stacks) ([]graph.Edge, error) {
+	var certificate []graph.Edge
+	for g, sps := range groups {
+		st.sps, st.offset, st.removed = sps, g*stackBits(groups[0]), certificate
+		forest, err := boruvka(cfgs[g].Rounds, st)
+		if err != nil {
+			return certificate, fmt.Errorf("agm: skeleton group %d: %w", g, err)
 		}
 		certificate = append(certificate, forest...)
-		removed = append(removed, forest...)
 	}
 	return certificate, nil
 }

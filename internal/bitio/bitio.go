@@ -156,11 +156,7 @@ func (w *Writer) FlipBit(pos int) {
 }
 
 // WriteBytes appends the given bytes verbatim (8 bits per byte).
-func (w *Writer) WriteBytes(p []byte) {
-	for _, b := range p {
-		w.WriteUint(uint64(b), 8)
-	}
-}
+func (w *Writer) WriteBytes(p []byte) { w.appendBits(p, 8*len(p)) }
 
 // Append appends every bit of o to w, without any padding or framing: the
 // result is the exact bit string "w then o". Protocols that concatenate
@@ -168,16 +164,11 @@ func (w *Writer) WriteBytes(p []byte) {
 // sketch per weight threshold) use it to keep the combined length equal to
 // the sum of the parts.
 func (w *Writer) Append(o *Writer) {
-	r := ReaderFor(o)
-	for rem := o.Len(); rem > 0; {
-		k := rem
-		if k > 64 {
-			k = 64
-		}
-		v, _ := r.ReadUint(k)
-		w.WriteUint(v, k)
-		rem -= k
+	src := o.Bytes()
+	if o == w {
+		src = append([]byte(nil), src...) // the merge must not read bytes it has rewritten
 	}
+	w.appendBits(src, o.Len())
 }
 
 // Reader consumes a bit string produced by Writer.
@@ -267,10 +258,7 @@ func (r *Reader) ReadBytes(n int) ([]byte, error) {
 		return nil, ErrShortMessage
 	}
 	out := make([]byte, n)
-	for i := range out {
-		v, _ := r.ReadUint(8)
-		out[i] = byte(v)
-	}
+	r.readBytes(out)
 	return out, nil
 }
 

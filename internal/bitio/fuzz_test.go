@@ -2,6 +2,7 @@ package bitio
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -27,15 +28,18 @@ func FuzzUvarintRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzReaderNeverPanics feeds arbitrary byte soup to every reader method;
-// readers must fail gracefully, never panic or over-read.
+// FuzzReaderNeverPanics feeds arbitrary byte soup to every reader method,
+// the bulk ones (ReadBytes, ReadUint61s, Skip) included; readers must
+// fail gracefully, never panic or over-read, and a bulk 61-bit read must
+// agree with the per-element reads it replaces.
 func FuzzReaderNeverPanics(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0xff, 0x00, 0xa5}, uint8(20))
+	f.Add(bytes.Repeat([]byte{0xff}, 40), uint8(37))
 	f.Fuzz(func(t *testing.T, data []byte, ops uint8) {
 		r := NewReader(data, len(data)*8)
-		for i := uint8(0); i < ops%32; i++ {
-			switch i % 4 {
+		for i := uint8(0); i < ops%64; i++ {
+			switch i % 6 {
 			case 0:
 				_, _ = r.ReadBit()
 			case 1:
@@ -43,7 +47,18 @@ func FuzzReaderNeverPanics(f *testing.F) {
 			case 2:
 				_, _ = r.ReadUvarint()
 			case 3:
-				_, _ = r.ReadBytes(int(i) % 5)
+				_, _ = r.ReadBytes(int(i) % 11)
+			case 4:
+				before := *r
+				got := make([]uint64, int(i)%5)
+				err := r.ReadUint61s(got)
+				want := make([]uint64, len(got))
+				werr := refReadUint61s(&before, want)
+				if (err == nil) != (werr == nil) || (err == nil && !slices.Equal(got, want)) {
+					t.Fatalf("ReadUint61s = %x, %v; per-element reads %x, %v", got, err, want, werr)
+				}
+			case 5:
+				_ = r.Skip(int(i) % 70)
 			}
 			if r.Remaining() < 0 {
 				t.Fatal("reader over-consumed")

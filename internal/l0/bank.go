@@ -1,6 +1,6 @@
 package l0
 
-// Columnar sketch state for the block execution path. The scalar hot
+// Columnar sketch state, for players and the referee alike. The scalar
 // path builds one heap Sketch per (vertex, spec): an []OneSparse whose
 // cells are updated through per-call pointer chasing and serialized cell
 // by cell. A Bank instead holds the one-sparse cells of a whole block of
@@ -14,6 +14,13 @@ package l0
 //   - the scatter into levels 0..ℓ is a contiguous AddScalarBlock per
 //     component, because lanes are stored level-contiguously.
 //
+// On the referee side a lane is one decoded sketch: ReadLane and
+// ReadLaneTolerant unpack a serialized sketch into a lane through the
+// bulk 61-bit kernel (bitio.Reader.ReadUint61s) with the scalar
+// reader's range checks and error text, AddLane merges a component's
+// lanes into its root, and SampleLane/LaneIsZero recover from a lane
+// exactly as Sample/IsZero do from the equivalent Sketch.
+//
 // Bit-compatibility: a lane of the bank holds exactly the cells the
 // scalar Spec.Update would produce for the same update sequence
 // (bank_test.go proves byte equality of the serializations and equality
@@ -24,6 +31,7 @@ package l0
 // cells the previous spec actually touched (tracked per lane by top).
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bitio"
@@ -115,21 +123,139 @@ func (b *Bank) AddLane(dst, src int) {
 	}
 }
 
+// laneChunk is the number of cells one bulk kernel call moves: the
+// lane codecs stage cells through a stack buffer of 3·laneChunk
+// elements, so no shared scratch is needed and lanes of one bank may be
+// serialized or decoded concurrently.
+const laneChunk = 16
+
+// cellBits is the serialized size of one cell: three 61-bit elements.
+const cellBits = 3 * bitio.Uint61Width
+
 // WriteLane serializes one lane exactly as Sketch.Write serializes the
-// equivalent sketch: 3 × 61 bits per cell in level order. Cells above
-// the lane's watermark are zero by the Reset invariant, so they are
-// emitted as one bulk zero run instead of 183 bits at a time — at sketch
-// densities (a handful of touched levels out of ~30) that removes most
-// per-cell serialization work.
+// equivalent sketch: 3 × 61 bits per cell in level order. Cells below
+// the lane's watermark go through the bulk 61-bit packer; cells above it
+// are zero by the Reset invariant, so they are emitted as one bulk zero
+// run — at sketch densities (a handful of touched levels out of ~30)
+// that removes most per-cell serialization work.
 func (b *Bank) WriteLane(w *bitio.Writer, lane int) {
 	base := lane * b.levels
 	t := int(b.top[lane])
-	for l := base; l < base+t; l++ {
-		w.WriteUint(uint64(b.val[l]), 61)
-		w.WriteUint(uint64(b.idx[l]), 61)
-		w.WriteUint(uint64(b.fp[l]), 61)
+	var raw [3 * laneChunk]uint64
+	for lo := 0; lo < t; lo += laneChunk {
+		hi := min(lo+laneChunk, t)
+		for l := lo; l < hi; l++ {
+			k := 3 * (l - lo)
+			raw[k], raw[k+1], raw[k+2] = uint64(b.val[base+l]), uint64(b.idx[base+l]), uint64(b.fp[base+l])
+		}
+		w.WriteUint61s(raw[:3*(hi-lo)])
 	}
-	w.WriteZeros((b.levels - t) * 3 * 61)
+	w.WriteZeros((b.levels - t) * cellBits)
+}
+
+// errOutOfRange is the rejection of a serialized element that is not a
+// canonical field value.
+var errOutOfRange = errors.New("l0: field element out of range")
+
+// ReadLane deserializes one sketch serialized under sp (by Sketch.Write
+// or WriteLane) into the given lane, replacing its cells. It rejects the
+// message at its first bad element, in serialization order: a short
+// message or an out-of-range element yields "l0: level ℓ: " wrapping
+// bitio.ErrShortMessage or the range error. The bank must have sp's
+// level count.
+func (sp Spec) ReadLane(b *Bank, lane int, r *bitio.Reader) error {
+	_, err := b.readLane(lane, r, true)
+	return err
+}
+
+// ReadLaneTolerant deserializes one sketch while tolerating corrupted
+// elements: it consumes exactly the sketch's fixed size, zeroes every
+// cell holding an element that is not a canonical field value, and
+// reports valid = false for such damage. The error is non-nil only when
+// fewer bits remain than the sketch needs.
+func (sp Spec) ReadLaneTolerant(b *Bank, lane int, r *bitio.Reader) (valid bool, err error) {
+	if r.Remaining() < b.levels*cellBits {
+		return false, bitio.ErrShortMessage
+	}
+	return b.readLane(lane, r, false)
+}
+
+// readLane unpacks a lane's cells chunk by chunk. Strict reads stop at
+// the first out-of-range element; when the message runs short, the
+// elements that still fit are range-checked first, so the reported level
+// is the one an element-at-a-time reader would have stopped at.
+// Tolerant reads zero each damaged cell instead.
+func (b *Bank) readLane(lane int, r *bitio.Reader, strict bool) (valid bool, err error) {
+	base := lane * b.levels
+	valid = true
+	top := int32(0)
+	b.top[lane] = int32(b.levels) // a read that fails midway leaves any cell dirty
+	var raw [3 * laneChunk]uint64
+	for lo := 0; lo < b.levels; lo += laneChunk {
+		hi := min(lo+laneChunk, b.levels)
+		chunk := raw[:3*(hi-lo)]
+		short := r.ReadUint61s(chunk) != nil
+		if short {
+			chunk = chunk[:r.Remaining()/bitio.Uint61Width]
+			_ = r.ReadUint61s(chunk)
+		}
+		for k := 0; k+3 <= len(chunk); k += 3 {
+			l := base + lo + k/3
+			v, i, f := chunk[k], chunk[k+1], chunk[k+2]
+			if v >= field.P || i >= field.P || f >= field.P {
+				if strict {
+					bad := k
+					for chunk[bad] < field.P {
+						bad++
+					}
+					return false, fmt.Errorf("l0: level %d: %w", lo+bad/3, errOutOfRange)
+				}
+				v, i, f, valid = 0, 0, 0, false
+			}
+			b.val[l], b.idx[l], b.fp[l] = field.Elem(v), field.Elem(i), field.Elem(f)
+			if v|i|f != 0 {
+				top = int32(lo + k/3 + 1)
+			}
+		}
+		if short {
+			for _, e := range chunk[len(chunk)/3*3:] {
+				if e >= field.P {
+					return false, fmt.Errorf("l0: level %d: %w", lo+len(chunk)/3, errOutOfRange)
+				}
+			}
+			return false, fmt.Errorf("l0: level %d: %w", lo+len(chunk)/3, bitio.ErrShortMessage)
+		}
+	}
+	b.top[lane] = top
+	return valid, nil
+}
+
+// SampleLane is Sample for the sketch held in one lane: it scans the
+// lane's levels from the most aggressive subsampling down and returns
+// the first successful one-sparse recovery. Levels at or above the
+// lane's watermark are zero and could never recover, so the scan starts
+// below it.
+func (sp Spec) SampleLane(b *Bank, lane int) (index uint64, value int64, ok bool) {
+	base := lane * b.levels
+	for l := int(b.top[lane]) - 1; l >= 0; l-- {
+		cell := OneSparse{valSum: b.val[base+l], idxSum: b.idx[base+l], fpSum: b.fp[base+l]}
+		if idx, v, ok := cell.recover(sp.universe, sp.powZ); ok {
+			return idx, v, true
+		}
+	}
+	return 0, 0, false
+}
+
+// LaneIsZero reports whether every cell of the lane is zero: IsZero for
+// the sketch held in one lane.
+func (b *Bank) LaneIsZero(lane int) bool {
+	base := lane * b.levels
+	for l := base; l < base+int(b.top[lane]); l++ {
+		if b.val[l]|b.idx[l]|b.fp[l] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // LaneChecksum digests one lane with the same FNV-1a fold as

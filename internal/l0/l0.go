@@ -15,7 +15,6 @@
 package l0
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -75,11 +74,11 @@ func (o *OneSparse) Recover(universe uint64, z field.Elem) (index uint64, value 
 }
 
 // recover is Recover with the fingerprint exponentiation abstracted, so
-// Spec.Sample can serve it from the spec's fixed-base window table while
-// the z-taking API keeps the naive chain. Value sums are inverted through
-// field.CachedInv: they are small signed multiplicities here (the
-// signedFromElem guard has already passed), exactly the case the
-// inverse cache serves without a full Fermat chain.
+// Spec.Sample and Spec.SampleLane can serve it from the spec's fixed-base
+// window table while the z-taking API keeps the naive chain. Value sums
+// are inverted through field.CachedInv: they are small signed
+// multiplicities here (the signedFromElem guard has already passed),
+// exactly the case the inverse cache serves without a full Fermat chain.
 func (o *OneSparse) recover(universe uint64, powZ func(uint64) field.Elem) (index uint64, value int64, ok bool) {
 	if o.IsZero() || o.valSum == 0 {
 		return 0, 0, false
@@ -103,22 +102,6 @@ func (o *OneSparse) write(w *bitio.Writer) {
 	w.WriteUint(uint64(o.valSum), 61)
 	w.WriteUint(uint64(o.idxSum), 61)
 	w.WriteUint(uint64(o.fpSum), 61)
-}
-
-// readOneSparse deserializes a cell.
-func readOneSparse(r *bitio.Reader) (OneSparse, error) {
-	var o OneSparse
-	for _, dst := range []*field.Elem{&o.valSum, &o.idxSum, &o.fpSum} {
-		v, err := r.ReadUint(61)
-		if err != nil {
-			return o, err
-		}
-		if v >= field.P {
-			return o, errors.New("l0: field element out of range")
-		}
-		*dst = field.Elem(v)
-	}
-	return o, nil
 }
 
 // elemFromSigned embeds a signed integer into GF(p).
@@ -258,17 +241,6 @@ func (sp Spec) Update(sk *Sketch, index uint64, delta int64) {
 	}
 }
 
-// Add merges another sketch into sk. Both must stem from the same Spec.
-func (sk *Sketch) Add(other *Sketch) error {
-	if len(sk.cells) != len(other.cells) {
-		return fmt.Errorf("l0: merging sketches with %d and %d levels", len(sk.cells), len(other.cells))
-	}
-	for i := range sk.cells {
-		sk.cells[i].Add(other.cells[i])
-	}
-	return nil
-}
-
 // Sample attempts to recover one nonzero coordinate of the sketched
 // vector. It scans levels from the most aggressive subsampling down,
 // returning the first successful one-sparse recovery. For a nonzero
@@ -301,52 +273,6 @@ func (sk *Sketch) Write(w *bitio.Writer) {
 	for i := range sk.cells {
 		sk.cells[i].write(w)
 	}
-}
-
-// ReadSketch deserializes a sketch produced under sp.
-func (sp Spec) ReadSketch(r *bitio.Reader) (*Sketch, error) {
-	sk := sp.NewSketch()
-	for i := range sk.cells {
-		cell, err := readOneSparse(r)
-		if err != nil {
-			return nil, fmt.Errorf("l0: level %d: %w", i, err)
-		}
-		sk.cells[i] = cell
-	}
-	return sk, nil
-}
-
-// ReadSketchTolerant deserializes a sketch while tolerating corrupted
-// elements: it always consumes exactly BitLen() bits (keeping the reader
-// aligned for whatever follows, unlike ReadSketch which stops at the
-// first bad element), zeroing any cell whose serialized elements are not
-// canonical field values and reporting valid = false for such damage.
-// The error is non-nil only when the message is too short to hold the
-// full encoding.
-func (sp Spec) ReadSketchTolerant(r *bitio.Reader) (sk *Sketch, valid bool, err error) {
-	sk = sp.NewSketch()
-	valid = true
-	for i := range sk.cells {
-		var cell OneSparse
-		cellOK := true
-		for _, dst := range []*field.Elem{&cell.valSum, &cell.idxSum, &cell.fpSum} {
-			v, err := r.ReadUint(61)
-			if err != nil {
-				return nil, false, err
-			}
-			if v >= field.P {
-				cellOK = false
-				continue
-			}
-			*dst = field.Elem(v)
-		}
-		if !cellOK {
-			cell = OneSparse{}
-			valid = false
-		}
-		sk.cells[i] = cell
-	}
-	return sk, valid, nil
 }
 
 // checksumOffset and checksumPrime are the FNV-1a parameters of the

@@ -147,18 +147,9 @@ func (p *Protocol) Decode(n int, sketches []*bitio.Reader, coins *rng.PublicCoin
 		// payload bytes followed by the payload bit length.
 		levelReaders := make([]*bitio.Reader, n)
 		for v := 0; v < n; v++ {
-			// The payload was byte-aligned by WriteBytes; read its bytes
-			// then its true bit length.
+			// skeletonBits fixes the payload length, so the recorded one
+			// is only checked against it.
 			r := sketches[v]
-			start := r.Remaining()
-			_ = start
-			// First pass: we must know the byte count; recover it from
-			// the recorded bit length after the payload. To keep the
-			// format simple the payload is stored byte-aligned, so scan:
-			// read bytes until the uvarint... — instead the encoder
-			// recorded the length after the payload precisely because
-			// both sides know the skeleton sketch length is deterministic
-			// given (n, cfg): reconstruct it.
 			expected := skeletonBits(n, cfg)
 			payload, err := r.ReadBytes((expected + 7) / 8)
 			if err != nil {
