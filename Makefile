@@ -6,7 +6,7 @@
 # sketch updates (scalar and banked — L0Update also matches
 # L0UpdateBlock, FieldPow also matches FieldPowBlock), the columnar bank
 # cycle, the per-vertex AGM sketching cost, the dynamic-stream batch
-# apply (DynStreamApply matches both the Scalar and Block variants), the
+# apply, the
 # transcript codec on six ~2 MB AGM-family reports, one in-process
 # /v1/run cache hit on a ~2 MB entry, the AGM forest referee at
 # sketch-batch's size (AGMDecode runs the scalar reference and the banked
@@ -16,26 +16,29 @@
 BENCH_HOT := FieldPow|FieldInv|L0Update|L0Sample|BankUpdate|AGMSketchVertex|DynStreamApply|WireReportEncodeLarge|WireReportDecodeLarge|ServerHitLarge|AGMDecode|BitioUnpack61
 BENCH_HOT_PKGS := ./internal/field/ ./internal/l0/ ./internal/agm/ ./internal/dynstream/ ./internal/wire/ ./internal/server/ ./internal/bitio/
 
-# The engine-level block-vs-scalar pair the bench guard watches; the
-# ratio between the two is machine-independent enough to gate on.
+# The engine-level block-vs-scalar pair the bench guard watches, in
+# internal/agm's tests next to the scalar reference sketcher; the ratio
+# between the two is machine-independent enough to gate on.
 BENCH_ENGINE := EngineBlockN1k|EngineScalarN1k
 
 all: check
 
 # check is the default gate: build + vet + tests, then the race detector
 # over the concurrency-bearing packages (engine scheduler, the cclique
-# protocols it drives in parallel, and the fault injector that perturbs
-# them from inside the worker pool), then the registry drift guard, then
-# the benchmark module's own vet and tests, then the block-vs-scalar
-# performance guard (the allocation-regression tests —
-# TestUpdateBlockZeroAlloc, TestBlockKernelsZeroAlloc, and the wire
-# codec's Test*Alloc* guards — already run inside `test`).
+# protocols it drives in parallel, the fault injector that perturbs them
+# from inside the worker pool, and the AGM sketchers whose per-vertex and
+# block paths share one arena pool across engine workers), then the
+# registry drift guard, then the benchmark module's own vet and tests,
+# then the block-vs-scalar performance guard (the allocation-regression
+# tests — TestUpdateBlockZeroAlloc, TestBlockKernelsZeroAlloc,
+# TestSketchVertexAllocs, and the wire codec's Test*Alloc* guards —
+# already run inside `test`).
 check: test test-race lint-registry lbcalc-smoke perfbench-test bench-guard
 
 # bench-guard fails when the columnar block path regresses by more than
-# 10% relative to the scalar path, compared against the block/scalar
-# ratio recorded in bench/baseline.txt. Ratios, not absolute ns/op, so
-# the gate holds across machines.
+# 10% relative to the scalar reference sketcher, compared against the
+# block/scalar ratio recorded in bench/baseline.txt. Ratios, not absolute
+# ns/op, so the gate holds across machines.
 bench-guard:
 	./scripts/bench-guard.sh
 
@@ -69,7 +72,8 @@ test-race:
 	go test -race ./internal/engine/... ./internal/cclique/... ./internal/faults/... \
 		./internal/matchproto/... ./internal/misproto/... ./internal/protocol/... \
 		./internal/wire/... ./internal/server/... ./internal/client/... \
-		./internal/cache/... ./internal/cluster/... ./internal/dynstream/...
+		./internal/cache/... ./internal/cluster/... ./internal/dynstream/... \
+		./internal/agm/... ./internal/l0/...
 
 # fuzz-smoke gives each fuzz target a short budget — the same smoke CI
 # runs (.github/workflows/ci.yml).
@@ -113,7 +117,7 @@ BENCH_OUT ?= bench/baseline.txt
 bench-measure:
 	mkdir -p $(dir $(BENCH_OUT))
 	go test -run='^$$' -bench='$(BENCH_HOT)' -benchtime=100ms -count=5 -benchmem $(BENCH_HOT_PKGS) | tee $(BENCH_OUT)
-	go test -run='^$$' -bench='$(BENCH_ENGINE)' -benchtime=1x -count=5 -benchmem . | tee -a $(BENCH_OUT)
+	go test -run='^$$' -bench='$(BENCH_ENGINE)' -benchtime=1x -count=5 -benchmem ./internal/agm/ | tee -a $(BENCH_OUT)
 
 # bench-baseline refreshes bench/baseline.txt, the checked-in reference
 # the CI benchstat diff compares against. Re-run on a quiet machine after

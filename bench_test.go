@@ -127,22 +127,14 @@ func BenchmarkE60ConnectivityLowerBound(b *testing.B) {
 // referee-side and inherently sequential) at n ∈ {1k, 10k}, sequential
 // (1 worker) vs parallel (GOMAXPROCS workers). The engine's determinism
 // contract makes the two transcripts bit-identical, so this measures pure
-// scheduling win. Numbers are recorded in EXPERIMENTS.md § Engine.
+// scheduling win. Numbers are recorded in EXPERIMENTS.md § Engine. The
+// block-vs-scalar pair the bench guard watches lives with the scalar
+// reference sketcher, in internal/agm's tests.
 func benchEngineBroadcast(b *testing.B, n, workers int) {
-	benchEngineBroadcastMode(b, n, workers, false)
-}
-
-// benchEngineBroadcastMode additionally selects the execution path:
-// disableBlock forces the per-vertex scalar loop via Engine.DisableBlock,
-// so the block-vs-scalar pairs below measure the columnar win on
-// bit-identical transcripts. The unsuffixed Sequential/Parallel
-// benchmarks run whatever the default path is (block, since PR 8) —
-// they are the headline numbers recorded in EXPERIMENTS.md § Engine.
-func benchEngineBroadcastMode(b *testing.B, n, workers int, disableBlock bool) {
 	b.Helper()
 	g := gen.Gnp(n, 8/float64(n), rng.NewSource(7))
 	p := &cclique.OneRound[[]graph.Edge]{P: agm.NewSpanningForest(agm.Config{})}
-	eng := &engine.Engine{Workers: workers, DisableBlock: disableBlock}
+	eng := &engine.Engine{Workers: workers}
 	coins := rng.NewPublicCoins(9)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -160,15 +152,3 @@ func BenchmarkEngineParallelN1k(b *testing.B) { benchEngineBroadcast(b, 1000, 0)
 func BenchmarkEngineSequentialN10k(b *testing.B) { benchEngineBroadcast(b, 10000, 1) }
 
 func BenchmarkEngineParallelN10k(b *testing.B) { benchEngineBroadcast(b, 10000, 0) }
-
-// Block-vs-scalar pairs: identical load and transcripts, only the
-// execution path differs. The bench guard (scripts/bench-guard.sh, run
-// by make check) compares the N1k pair's ratio against bench/baseline.txt
-// and fails on a >10% relative regression of the block path.
-func BenchmarkEngineBlockN1k(b *testing.B) { benchEngineBroadcastMode(b, 1000, 1, false) }
-
-func BenchmarkEngineScalarN1k(b *testing.B) { benchEngineBroadcastMode(b, 1000, 1, true) }
-
-func BenchmarkEngineBlockN10k(b *testing.B) { benchEngineBroadcastMode(b, 10000, 1, false) }
-
-func BenchmarkEngineScalarN10k(b *testing.B) { benchEngineBroadcastMode(b, 10000, 1, true) }

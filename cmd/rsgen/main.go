@@ -8,16 +8,11 @@
 //
 //	rsgen [-m 60] [-family behrend|disjoint] [-r R -t T] [-print]
 //	      [-sketch] [-trials N] [-workers N] [-seed N] [-remote HOST:PORT]
-//	      [-block=false]
 //
 // -workers sets the engine worker count (0 = GOMAXPROCS) and must be
 // >= 0; the engine is bit-deterministic, so sketch output is
 // byte-identical for any value — -workers 1 reproduces the same results
 // as any parallel run.
-//
-// -block (default true) selects the columnar block execution path for
-// protocols that support it; -block=false forces the per-vertex scalar
-// path. Like -workers it never changes any output bit, only speed.
 //
 // -remote dispatches the sketch trials to a refereed daemon instead of
 // running them in-process. The RS construction is a pure function of its
@@ -53,14 +48,12 @@ func main() {
 	workers := flag.Int("workers", 0, "engine workers, >= 0 (0 = GOMAXPROCS); sketch output is byte-identical for any value")
 	seed := flag.Uint64("seed", 42, "root seed for sketch trials")
 	remote := flag.String("remote", "", "dispatch -sketch trials to a refereed daemon at this HOST:PORT")
-	block := flag.Bool("block", true, "use columnar block execution where protocols support it; -block=false forces the per-vertex scalar path (output is byte-identical either way)")
 	flag.Parse()
 
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "rsgen: -workers must be >= 0 (0 = GOMAXPROCS), got %d\n", *workers)
 		os.Exit(2)
 	}
-	engine.SetBlockExecution(*block)
 
 	var rs *rsgraph.RSGraph
 	switch *family {

@@ -23,12 +23,6 @@
 // byte-identical for any value — including -workers 1, the sequential
 // baseline; the flag only changes wall time.
 //
-// -block (default true) selects the columnar block execution path for
-// protocols that support it (engine.BlockBroadcaster); -block=false
-// forces the per-vertex scalar path. Like -workers, the flag never
-// changes a single output bit — transcripts and digests are identical on
-// both paths — it only trades execution strategy for speed.
-//
 // -faults adds a custom fault plan to the E20 resilience sweep, e.g.
 // "drop=0.1,corrupt=0.05,flip=4,straggle=0.01,delay=2ms"
 // (fbdrop=P/fbcorrupt=P target the referee feedback lane of adaptive
@@ -51,7 +45,6 @@ import (
 	"strings"
 
 	"repro/internal/client"
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/wire"
@@ -78,14 +71,12 @@ func run() (ok bool) {
 	sweep := flag.Bool("sweep", false, "run the fixture parity sweep locally instead of experiments")
 	remote := flag.String("remote", "", "dispatch the parity sweep to a refereed daemon at this HOST:PORT")
 	jsonOut := flag.Bool("json", false, "emit sweep results as JSON reports (wire.ReportJSON) instead of text lines")
-	block := flag.Bool("block", true, "use columnar block execution where protocols support it; -block=false forces the per-vertex scalar path (output is byte-identical either way)")
 	flag.Parse()
 
 	if *workers < 0 {
 		fmt.Fprintf(os.Stderr, "sketchlab: -workers must be >= 0 (0 = GOMAXPROCS), got %d\n", *workers)
 		os.Exit(2)
 	}
-	engine.SetBlockExecution(*block)
 	if *sweep || *remote != "" || *jsonOut {
 		return runSweep(*remote, *workers, *jsonOut)
 	}

@@ -98,47 +98,12 @@ func (p *ForestProtocol) Name() string { return "agm-spanning-forest" }
 
 // Sketch implements core.Protocol: the vertex serializes one ℓ₀-sketch of
 // its incidence vector per (round, rep), plus — under BackupReps — the
-// checksummed backup tail described on Config.
+// checksummed backup tail described on Config. It runs SketchBlock's
+// code over one lane into a pooled writer (block.go).
 func (p *ForestProtocol) Sketch(view core.VertexView, coins *rng.PublicCoins) (*bitio.Writer, error) {
-	cfg := p.cfg.withDefaults(view.N)
-	w := bitio.NewPooledWriter()
-	if cfg.BackupReps > 0 {
-		pcs := writeIncidenceStack(w, specs(view.N, cfg, coins), view, true)
-		w.WriteUint(uint64(pcs), 32)
-		bcs := writeIncidenceStack(w, backupSpecs(view.N, cfg, coins), view, true)
-		w.WriteUint(uint64(bcs), 32)
-	} else {
-		// The classic encoding carries no checksum, so none is computed:
-		// hashing every cell of every sketch is a measurable fraction of
-		// the per-vertex cost at large n.
-		writeIncidenceStack(w, specs(view.N, cfg, coins), view, false)
-	}
-	return w, nil
-}
-
-// writeIncidenceStack sketches the view's incidence vector under every
-// spec, appends the serializations, and — when withChecksum is set —
-// returns the folded checksum of the stack. The per-spec scratch sketch
-// comes from the l0 pool: its contents are fully serialized into w before
-// release, so pooling is invisible in the bits.
-func writeIncidenceStack(w *bitio.Writer, sps []l0.Spec, view core.VertexView, withChecksum bool) uint32 {
-	var cs uint32
-	for _, sp := range sps {
-		sk := sp.AcquireSketch()
-		for _, u := range view.Neighbors {
-			delta := int64(1)
-			if view.ID > u {
-				delta = -1
-			}
-			sp.Update(sk, edgeIndex(view.N, view.ID, u), delta)
-		}
-		sk.Write(w)
-		if withChecksum {
-			cs = foldChecksum(cs, sk.Checksum())
-		}
-		l0.ReleaseSketch(sk)
-	}
-	return cs
+	views, out := [1]core.VertexView{view}, [1]*bitio.Writer{}
+	p.sketch(views[:], coins, out[:], bitio.NewPooledWriter)
+	return out[0], nil
 }
 
 // Decode implements core.Protocol: Borůvka over merged sketches, read

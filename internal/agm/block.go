@@ -1,23 +1,20 @@
 package agm
 
-// Columnar sketching for the AGM protocols: core.BlockSketcher
-// implementations that compute a whole shard of per-vertex messages
-// through the l0.Bank fast path. Per-vertex costs the scalar path pays
-// once per (vertex, spec) — sketch state setup, per-update term
-// derivation, byte-at-a-time serialization growth — are amortized across
-// a block of lanes:
+// Sketching for the AGM protocols, a chunk of up to blockLanes vertices
+// at a time in an l0.Bank: each vertex's ±1 incidence updates are
+// gathered once per chunk and replayed against every spec through
+// Spec.UpdateBlock, into writers pre-grown to the encoding's exact fixed
+// size, so serialization never reallocates.
 //
-//   - each vertex's ±1 incidence updates are gathered once per block and
-//     replayed against every spec through Spec.UpdateBlock,
-//   - messages are written into ownership-transferring writers
-//     (bitio.NewOwnedWriter) pre-grown to the encoding's exact fixed
-//     size, so serialization never reallocates and sealing steals the
-//     buffer instead of copying it.
+// The entry points differ only in the writers they hand out. SketchBlock
+// runs a whole engine shard into ownership-transferring writers
+// (bitio.NewOwnedWriter), whose buffers sealing steals instead of
+// copying. The per-vertex Sketch runs one lane into a pooled writer
+// (bitio.NewPooledWriter), which the engine copies at seal and releases
+// for the next vertex, so a warm Sketch allocates nothing.
 //
-// The bits are identical to the scalar Sketch path's (block_test.go
-// proves it per protocol; wire/block_parity_test.go proves whole
-// transcripts and digests match across every registered protocol), so
-// block execution is invisible to referees, checksums, and fault plans.
+// block_test.go proves both emit the bits of the scalar reference
+// sketcher in reference_test.go for every protocol.
 
 import (
 	"fmt"
@@ -41,8 +38,9 @@ var (
 // (3 slices × lanes × ~30 levels × 8 bytes ≈ 1 MB) stays in L2.
 const blockLanes = 128
 
-// blockArena is the reusable scratch of one SketchBlock call: the bank,
+// blockArena is the reusable scratch of one sketching call: the bank,
 // the gathered update list, and the per-lane checksum accumulators.
+// Concurrent engine workers each take their own from arenaPool.
 type blockArena struct {
 	bank *l0.Bank
 	upd  l0.BlockUpdates
@@ -51,10 +49,15 @@ type blockArena struct {
 
 var arenaPool = sync.Pool{New: func() any { return &blockArena{bank: l0.NewBank()} }}
 
-// gather collects every vertex's incidence updates — the same
-// (index, delta) stream writeIncidenceStack feeds Spec.Update, with the
-// ±1 encoded as a sign flag — once per chunk.
-func (a *blockArena) gather(n int, chunk []core.VertexView) {
+// begin starts one chunk: it fills ws with writers from newWriter, each
+// pre-grown to msgBits, and gathers every vertex's incidence updates
+// once, with the ±1 of the incidence vector encoded as a sign flag.
+func (a *blockArena) begin(n int, chunk []core.VertexView, ws []*bitio.Writer, msgBits int, newWriter func() *bitio.Writer) {
+	for i := range ws {
+		w := newWriter()
+		w.Grow(msgBits)
+		ws[i] = w
+	}
 	a.upd.Reset()
 	for i, view := range chunk {
 		for _, u := range view.Neighbors {
@@ -63,11 +66,10 @@ func (a *blockArena) gather(n int, chunk []core.VertexView) {
 	}
 }
 
-// writeStack appends one sampler stack to every lane's writer, exactly
-// mirroring writeIncidenceStack per lane: specs in order, each spec's
-// cells in level order. With withChecksum the per-lane stack checksums
-// accumulate into a.cs (reset here), matching foldChecksum over
-// Sketch.Checksum by l0.Bank.LaneChecksum's construction.
+// writeStack appends one sampler stack to every lane's writer: specs in
+// order, each spec's cells in level order. With withChecksum the
+// per-lane stack checksums accumulate into a.cs (reset here), folded
+// with foldChecksum over l0.Bank.LaneChecksum.
 func (a *blockArena) writeStack(ws []*bitio.Writer, sps []l0.Spec, withChecksum bool) {
 	if withChecksum {
 		if cap(a.cs) < len(ws) {
@@ -98,24 +100,11 @@ func stackBits(sps []l0.Spec) int {
 	return bits
 }
 
-// newOwnedBlock fills ws with ownership-transferring writers pre-grown
-// to the encoding's fixed size, so every subsequent write lands in
-// already-reserved capacity.
-func newOwnedBlock(ws []*bitio.Writer, msgBits int) {
-	for i := range ws {
-		w := bitio.NewOwnedWriter()
-		w.Grow(msgBits)
-		ws[i] = w
-	}
-}
-
-// SketchBlock implements core.BlockSketcher for the spanning forest:
-// per chunk of blockLanes vertices, gather the incidence updates once,
-// then stream the primary stack (and under BackupReps the checksums and
-// backup stack) through the bank into pre-grown owned writers.
-func (p *ForestProtocol) SketchBlock(views []core.VertexView, coins *rng.PublicCoins, out []*bitio.Writer) (int, error) {
+// sketch writes the forest message of every view into out: the primary
+// stack, and under BackupReps the checksums and backup stack.
+func (p *ForestProtocol) sketch(views []core.VertexView, coins *rng.PublicCoins, out []*bitio.Writer, newWriter func() *bitio.Writer) {
 	if len(views) == 0 {
-		return 0, nil
+		return
 	}
 	n := views[0].N
 	cfg := p.cfg.withDefaults(n)
@@ -131,8 +120,7 @@ func (p *ForestProtocol) SketchBlock(views []core.VertexView, coins *rng.PublicC
 	for lo := 0; lo < len(views); lo += blockLanes {
 		hi := min(lo+blockLanes, len(views))
 		ws := out[lo:hi]
-		newOwnedBlock(ws, msgBits)
-		a.gather(n, views[lo:hi])
+		a.begin(n, views[lo:hi], ws, msgBits, newWriter)
 		if cfg.BackupReps > 0 {
 			a.writeStack(ws, primary, true)
 			for i, w := range ws {
@@ -143,44 +131,52 @@ func (p *ForestProtocol) SketchBlock(views []core.VertexView, coins *rng.PublicC
 				w.WriteUint(uint64(a.cs[i]), 32)
 			}
 		} else {
+			// The classic encoding carries no checksum, so none is
+			// computed: hashing every cell of every sketch is a
+			// measurable fraction of the per-vertex cost at large n.
 			a.writeStack(ws, primary, false)
 		}
 	}
+}
+
+// SketchBlock implements core.BlockSketcher for the spanning forest.
+func (p *ForestProtocol) SketchBlock(views []core.VertexView, coins *rng.PublicCoins, out []*bitio.Writer) (int, error) {
+	p.sketch(views, coins, out, bitio.NewOwnedWriter)
 	return 0, nil
 }
 
 // SketchBlock implements core.BlockSketcher by delegating to the forest
-// sketch, exactly as the scalar Sketch does.
+// sketch, exactly as Sketch does.
 func (p *ComponentsProtocol) SketchBlock(views []core.VertexView, coins *rng.PublicCoins, out []*bitio.Writer) (int, error) {
 	return p.forest.SketchBlock(views, coins, out)
 }
 
-// SketchBlock implements core.BlockSketcher for the k-forest skeleton:
-// the K groups' stacks stream through the bank in group order, matching
-// the scalar Sketch's encoding lane for lane.
-func (p *SkeletonProtocol) SketchBlock(views []core.VertexView, coins *rng.PublicCoins, out []*bitio.Writer) (int, error) {
-	if len(views) == 0 {
-		return 0, nil
-	}
+// sketch writes the skeleton message of every view into out: the K
+// groups' stacks in group order.
+func (p *SkeletonProtocol) sketch(views []core.VertexView, coins *rng.PublicCoins, out []*bitio.Writer, newWriter func() *bitio.Writer) error {
 	if p.K < 1 {
-		return 0, fmt.Errorf("agm: skeleton needs K >= 1, got %d", p.K)
+		return fmt.Errorf("agm: skeleton needs K >= 1, got %d", p.K)
+	}
+	if len(views) == 0 {
+		return nil
 	}
 	n := views[0].N
-	_, groups := p.groupSpecs(n, coins)
-	msgBits := 0
-	for _, sps := range groups {
-		msgBits += stackBits(sps)
-	}
+	cfg := p.Forest.withDefaults(n)
+	msgBits := p.SketchBits(n, coins)
 	a := arenaPool.Get().(*blockArena)
 	defer arenaPool.Put(a)
 	for lo := 0; lo < len(views); lo += blockLanes {
 		hi := min(lo+blockLanes, len(views))
 		ws := out[lo:hi]
-		newOwnedBlock(ws, msgBits)
-		a.gather(n, views[lo:hi])
-		for _, sps := range groups {
-			a.writeStack(ws, sps, false)
+		a.begin(n, views[lo:hi], ws, msgBits, newWriter)
+		for g := 0; g < p.K; g++ {
+			a.writeStack(ws, groupStack(n, cfg, coins, g), false)
 		}
 	}
-	return 0, nil
+	return nil
+}
+
+// SketchBlock implements core.BlockSketcher for the k-forest skeleton.
+func (p *SkeletonProtocol) SketchBlock(views []core.VertexView, coins *rng.PublicCoins, out []*bitio.Writer) (int, error) {
+	return 0, p.sketch(views, coins, out, bitio.NewOwnedWriter)
 }

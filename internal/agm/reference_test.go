@@ -1,14 +1,22 @@
 package agm
 
-// The scalar referee the banked one (referee.go) replaced, kept as the
-// reference its decodes must match: every vertex's whole stack is read
-// eagerly, element by element through Reader.ReadUint, into one heap
-// sketch per (vertex, sampler), and a Borůvka merge adds all of a root's
-// samplers at once. Recovery goes through a one-lane bank — l0's tests
-// pin SampleLane to the scalar Sample — so what this reference checks is
-// everything around it: validation order and error text, round-lazy
-// loading, bank reuse, component sums, the skeleton's deletions, and the
-// resilient verdicts.
+// The scalar sketcher and referee the banked ones (block.go, referee.go)
+// replaced, kept as the references they must match.
+//
+// The sketcher builds one l0.Sketch per (vertex, spec), one Spec.Update
+// per incident edge, and serializes it bit by bit with Sketch.Write into
+// a pooled writer. block_test.go checks Sketch and SketchBlock against
+// it, and engine_bench_test.go times it as the engine's per-vertex
+// reference.
+//
+// The referee reads every vertex's whole stack eagerly, element by
+// element through Reader.ReadUint, into one heap sketch per (vertex,
+// sampler), and a Borůvka merge adds all of a root's samplers at once.
+// Recovery goes through a one-lane bank — l0's tests pin SampleLane to
+// the scalar Sample — so what this reference checks is everything
+// around it: validation order and error text, round-lazy loading, bank
+// reuse, component sums, the skeleton's deletions, and the resilient
+// verdicts.
 
 import (
 	"errors"
@@ -123,15 +131,74 @@ func refSample(sp l0.Spec, sk refSketch) (uint64, bool) {
 // refUpdate adds delta at index to sk, through a scalar Sketch of the
 // delta alone (linearity makes the two equal).
 func refUpdate(sp l0.Spec, sk refSketch, index uint64, delta int64) {
-	d := sp.NewSketch()
+	d := sp.AcquireSketch()
 	sp.Update(d, index, delta)
 	var w bitio.Writer
 	d.Write(&w)
+	l0.ReleaseSketch(d)
 	dd, err := refReadSketch(sp, bitio.ReaderFor(&w))
 	if err != nil {
 		panic(err)
 	}
 	sk.add(dd)
+}
+
+// refWriteIncidenceStack sketches the view's incidence vector under
+// every spec, appends the serializations, and — when withChecksum is
+// set — returns the folded checksum of the stack, computed from the
+// cells as written.
+func refWriteIncidenceStack(w *bitio.Writer, sps []l0.Spec, view core.VertexView, withChecksum bool) uint32 {
+	var cs uint32
+	for _, sp := range sps {
+		sk := sp.AcquireSketch()
+		for _, u := range view.Neighbors {
+			delta := int64(1)
+			if view.ID > u {
+				delta = -1
+			}
+			sp.Update(sk, edgeIndex(view.N, view.ID, u), delta)
+		}
+		start := w.Len()
+		sk.Write(w)
+		l0.ReleaseSketch(sk)
+		if withChecksum {
+			r := bitio.ReaderFor(w)
+			if err := r.Skip(start); err != nil {
+				panic(err)
+			}
+			cells, err := refReadSketch(sp, r)
+			if err != nil {
+				panic(err)
+			}
+			cs = foldChecksum(cs, cells.checksum())
+		}
+	}
+	return cs
+}
+
+// refForestSketch is ForestProtocol.Sketch.
+func refForestSketch(cfg Config, view core.VertexView, coins *rng.PublicCoins) *bitio.Writer {
+	cfg = cfg.withDefaults(view.N)
+	w := bitio.NewPooledWriter()
+	if cfg.BackupReps > 0 {
+		pcs := refWriteIncidenceStack(w, specs(view.N, cfg, coins), view, true)
+		w.WriteUint(uint64(pcs), 32)
+		bcs := refWriteIncidenceStack(w, backupSpecs(view.N, cfg, coins), view, true)
+		w.WriteUint(uint64(bcs), 32)
+	} else {
+		refWriteIncidenceStack(w, specs(view.N, cfg, coins), view, false)
+	}
+	return w
+}
+
+// refSkeletonSketch is SkeletonProtocol.Sketch.
+func refSkeletonSketch(p *SkeletonProtocol, view core.VertexView, coins *rng.PublicCoins) *bitio.Writer {
+	w := bitio.NewPooledWriter()
+	_, groups := p.groupSpecs(view.N, coins)
+	for _, sps := range groups {
+		refWriteIncidenceStack(w, sps, view, false)
+	}
+	return w
 }
 
 func refZeroStack(sps []l0.Spec) []refSketch {

@@ -39,41 +39,38 @@ func NewSkeleton(k int, cfg Config) *SkeletonProtocol {
 // Name implements core.Protocol.
 func (p *SkeletonProtocol) Name() string { return fmt.Sprintf("agm-skeleton-%d", p.K) }
 
-// groupSpecs derives each forest group's samplers from disjoint coin
-// subtrees.
+// groupStack derives forest group g's samplers from its own coin
+// subtree; the groups' subtrees are disjoint.
+func groupStack(n int, cfg Config, coins *rng.PublicCoins, g int) []l0.Spec {
+	return specs(n, cfg, coins.Derive("skeleton").DeriveIndex(g))
+}
+
+// groupSpecs derives every forest group's samplers.
 func (p *SkeletonProtocol) groupSpecs(n int, coins *rng.PublicCoins) ([]Config, [][]l0.Spec) {
 	cfg := p.Forest.withDefaults(n)
 	groups := make([][]l0.Spec, p.K)
 	cfgs := make([]Config, p.K)
 	for g := range groups {
-		groups[g] = specs(n, cfg, coins.Derive("skeleton").DeriveIndex(g))
+		groups[g] = groupStack(n, cfg, coins, g)
 		cfgs[g] = cfg
 	}
 	return cfgs, groups
 }
 
-// Sketch implements core.Protocol.
+// SketchBits returns the fixed length in bits of one vertex's sketch on
+// an n-vertex graph under coins: K sampler stacks of equal size.
+func (p *SkeletonProtocol) SketchBits(n int, coins *rng.PublicCoins) int {
+	return p.K * stackBits(groupStack(n, p.Forest.withDefaults(n), coins, 0))
+}
+
+// Sketch implements core.Protocol. It runs SketchBlock's code over one
+// lane into a pooled writer (block.go).
 func (p *SkeletonProtocol) Sketch(view core.VertexView, coins *rng.PublicCoins) (*bitio.Writer, error) {
-	if p.K < 1 {
-		return nil, fmt.Errorf("agm: skeleton needs K >= 1, got %d", p.K)
+	views, out := [1]core.VertexView{view}, [1]*bitio.Writer{}
+	if err := p.sketch(views[:], coins, out[:], bitio.NewPooledWriter); err != nil {
+		return nil, err
 	}
-	w := bitio.NewPooledWriter()
-	_, groups := p.groupSpecs(view.N, coins)
-	for _, sps := range groups {
-		for _, sp := range sps {
-			sk := sp.AcquireSketch()
-			for _, u := range view.Neighbors {
-				delta := int64(1)
-				if view.ID > u {
-					delta = -1
-				}
-				sp.Update(sk, edgeIndex(view.N, view.ID, u), delta)
-			}
-			sk.Write(w)
-			l0.ReleaseSketch(sk)
-		}
-	}
-	return w, nil
+	return out[0], nil
 }
 
 // Decode implements core.Protocol: validate every group's stacks, then

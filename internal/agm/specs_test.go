@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/l0"
 	"repro/internal/rng"
 )
 
@@ -64,24 +65,27 @@ func TestMemoizedSpecsSketchIdentically(t *testing.T) {
 	memoized := derivedSpecs(universe, count, coins.Derive("agm"))
 	fresh := deriveSpecsFresh(universe, count, coins.Derive("agm"))
 
-	updates := []struct {
-		idx   uint64
-		delta int64
-	}{{3, 1}, {77, -1}, {415, 1}, {3, -1}, {899, 1}, {77, 1}}
+	var upd l0.BlockUpdates
+	for _, u := range []struct {
+		idx uint64
+		neg bool
+	}{{3, false}, {77, true}, {415, false}, {3, true}, {899, false}, {77, false}} {
+		upd.Add(0, u.idx, u.neg)
+	}
+	ma, fa := l0.NewBank(), l0.NewBank()
 	for i := range memoized {
-		ma, fa := memoized[i].NewSketch(), fresh[i].NewSketch()
-		for _, u := range updates {
-			memoized[i].Update(ma, u.idx, u.delta)
-			fresh[i].Update(fa, u.idx, u.delta)
-		}
+		ma.Reset(memoized[i].Levels(), 1)
+		fa.Reset(fresh[i].Levels(), 1)
+		memoized[i].UpdateBlock(ma, &upd)
+		fresh[i].UpdateBlock(fa, &upd)
 		var wm, wf bitio.Writer
-		ma.Write(&wm)
-		fa.Write(&wf)
+		ma.WriteLane(&wm, 0)
+		fa.WriteLane(&wf, 0)
 		if wm.Len() != wf.Len() || !bytes.Equal(wm.Bytes(), wf.Bytes()) {
 			t.Fatalf("spec %d: memoized and fresh sketches serialize differently", i)
 		}
-		mi, mv, mok := memoized[i].Sample(ma)
-		fi, fv, fok := fresh[i].Sample(fa)
+		mi, mv, mok := memoized[i].SampleLane(ma, 0)
+		fi, fv, fok := fresh[i].SampleLane(fa, 0)
 		if mi != fi || mv != fv || mok != fok {
 			t.Fatalf("spec %d: samples diverge: (%d,%d,%v) vs (%d,%d,%v)", i, mi, mv, mok, fi, fv, fok)
 		}

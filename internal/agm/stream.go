@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/bitio"
+	"repro/internal/dynstream"
 	"repro/internal/graph"
-	"repro/internal/l0"
 	"repro/internal/rng"
 )
 
@@ -15,12 +15,14 @@ import (
 // deletion subtracts it, and after any prefix of the stream the sketches
 // are bit-identical to sketching the current graph from scratch — the
 // connection to dynamic graph streams that the paper's related-work
-// discussion leans on ([1], "dynamic streams").
+// discussion leans on ([1], "dynamic streams"). The sketches live in a
+// dynstream.Maintainer over the forest protocol's specs; the sketcher
+// adds edge validation on top.
 type StreamSketcher struct {
 	n       int
 	cfg     Config
-	sps     []l0.Spec
-	perVert [][]*l0.Sketch
+	m       *dynstream.Maintainer
+	op      [1]dynstream.Op // one-op batch scratch
 	present map[uint64]bool
 }
 
@@ -28,50 +30,35 @@ type StreamSketcher struct {
 // using the same public coins a ForestProtocol referee would.
 func NewStreamSketcher(n int, cfg Config, coins *rng.PublicCoins) *StreamSketcher {
 	cfg = cfg.withDefaults(n)
-	sps := specs(n, cfg, coins)
-	perVert := make([][]*l0.Sketch, n)
-	for v := range perVert {
-		perVert[v] = make([]*l0.Sketch, len(sps))
-		for i, sp := range sps {
-			perVert[v][i] = sp.NewSketch()
-		}
-	}
 	return &StreamSketcher{
 		n:       n,
 		cfg:     cfg,
-		sps:     sps,
-		perVert: perVert,
+		m:       dynstream.NewMaintainer(n, specs(n, cfg, coins), dynstream.Options{}),
 		present: make(map[uint64]bool),
 	}
 }
 
 // Insert adds edge {u, v}. Inserting a present edge is an error (the
 // model is a simple graph).
-func (s *StreamSketcher) Insert(u, v int) error { return s.update(u, v, +1) }
+func (s *StreamSketcher) Insert(u, v int) error { return s.update(u, v, true) }
 
 // Delete removes edge {u, v}. Deleting an absent edge is an error.
-func (s *StreamSketcher) Delete(u, v int) error { return s.update(u, v, -1) }
+func (s *StreamSketcher) Delete(u, v int) error { return s.update(u, v, false) }
 
-func (s *StreamSketcher) update(u, v int, dir int64) error {
+func (s *StreamSketcher) update(u, v int, insert bool) error {
 	if u == v || u < 0 || v < 0 || u >= s.n || v >= s.n {
 		return fmt.Errorf("agm: stream update (%d,%d) out of range", u, v)
 	}
 	idx := edgeIndex(s.n, u, v)
-	if dir > 0 && s.present[idx] {
+	if insert && s.present[idx] {
 		return fmt.Errorf("agm: stream insert of present edge (%d,%d)", u, v)
 	}
-	if dir < 0 && !s.present[idx] {
+	if !insert && !s.present[idx] {
 		return fmt.Errorf("agm: stream delete of absent edge (%d,%d)", u, v)
 	}
-	s.present[idx] = dir > 0
-	lo, hi := u, v
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	for i, sp := range s.sps {
-		sp.Update(s.perVert[lo][i], idx, dir)  // smaller endpoint: +1 per edge
-		sp.Update(s.perVert[hi][i], idx, -dir) // larger endpoint: -1
-	}
+	s.present[idx] = insert
+	s.op[0] = dynstream.Op{Insert: insert, U: u, V: v}
+	s.m.ApplyBatch(s.op[:])
 	return nil
 }
 
@@ -90,9 +77,7 @@ func (s *StreamSketcher) Edges() int {
 // ForestProtocol wire format.
 func (s *StreamSketcher) Sketch(v int) *bitio.Writer {
 	w := &bitio.Writer{}
-	for _, sk := range s.perVert[v] {
-		sk.Write(w)
-	}
+	s.m.WriteVertex(w, v)
 	return w
 }
 

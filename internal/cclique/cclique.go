@@ -97,7 +97,7 @@ func (a *OneRound[O]) Broadcast(_ int, view core.VertexView, _ *Transcript, coin
 // BroadcastBlock implements engine.BlockBroadcaster: when the wrapped
 // protocol is a core.BlockSketcher the whole block goes through its
 // columnar path; otherwise it falls back to per-view Sketch calls, which
-// is byte-identical to the engine's own scalar loop. Either way the
+// is byte-identical to the engine's own per-vertex loop. Either way the
 // per-vertex and block executions produce the same transcript bits.
 func (a *OneRound[O]) BroadcastBlock(_ int, views []core.VertexView, _ *Transcript, coins *rng.PublicCoins, out []*bitio.Writer) (int, error) {
 	if bs, ok := a.P.(core.BlockSketcher); ok {

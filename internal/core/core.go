@@ -54,7 +54,7 @@ type Protocol[O any] interface {
 // would produce — block execution is a speed lever, never a semantic
 // one. On error it returns the index within views of the failing player.
 // The engine layer (engine.BlockBroadcaster via cclique.OneRound)
-// forwards shard-sized view slices here when the block path is enabled.
+// forwards every shard's view slice here.
 type BlockSketcher interface {
 	SketchBlock(views []VertexView, coins *rng.PublicCoins, out []*bitio.Writer) (int, error)
 }

@@ -20,13 +20,14 @@ func benchStream(b *testing.B) (*Stream, []l0.Spec) {
 	return s, Samplers(s.N(), 4, rng.NewPublicCoins(78))
 }
 
-// benchApply measures incremental maintenance throughput on one path;
-// the reported sketch-updates/s counts one update per (op, endpoint,
-// spec) triple — the unit both hot paths share.
-func benchApply(b *testing.B, block bool) {
+// BenchmarkDynStreamApplyBlock measures incremental maintenance
+// throughput: the batch flushed through the columnar Bank/UpdateBlock
+// path. The reported sketch-updates/s counts one update per (op,
+// endpoint, spec) triple.
+func BenchmarkDynStreamApplyBlock(b *testing.B) {
 	s, specs := benchStream(b)
 	ops := s.Ops()
-	m := NewMaintainer(s.N(), specs, Options{Workers: 1, Block: block})
+	m := NewMaintainer(s.N(), specs, Options{Workers: 1})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -36,11 +37,3 @@ func benchApply(b *testing.B, block bool) {
 	updates := float64(len(ops)) * 2 * float64(len(specs))
 	b.ReportMetric(updates*float64(b.N)/b.Elapsed().Seconds(), "updates/s")
 }
-
-// BenchmarkDynStreamApplyScalar drives the batch through scalar
-// l0.Spec.Update calls.
-func BenchmarkDynStreamApplyScalar(b *testing.B) { benchApply(b, false) }
-
-// BenchmarkDynStreamApplyBlock drives the same batch through the
-// columnar Bank/UpdateBlock path.
-func BenchmarkDynStreamApplyBlock(b *testing.B) { benchApply(b, true) }

@@ -38,10 +38,9 @@ func Samplers(n, count int, coins *rng.PublicCoins) []l0.Spec {
 	return specs
 }
 
-// Options configures a Maintainer's execution strategy. Like the
-// engine's Workers knob, neither field can change a checkpoint bit —
-// they are throughput levers only, and maintain_test.go holds them to
-// that.
+// Options configures a Maintainer's execution. Like the engine's
+// Workers knob, it cannot change a checkpoint bit — it is a throughput
+// lever only, and maintain_test.go holds it to that.
 type Options struct {
 	// Workers is the number of concurrent apply workers; <= 0 selects 1.
 	// Vertices are sharded into contiguous ranges, one per worker, and
@@ -49,9 +48,6 @@ type Options struct {
 	// each vertex's update order equals the op order regardless of the
 	// worker count.
 	Workers int
-	// Block routes updates through the columnar Bank/UpdateBlock path
-	// instead of scalar per-sketch Spec.Update calls.
-	Block bool
 }
 
 func (o Options) workers() int {
@@ -72,10 +68,8 @@ type Maintainer struct {
 	specs []l0.Spec
 	opts  Options
 
-	// Scalar state: perVert[v][i] is vertex v's sketch under specs[i].
-	perVert [][]*l0.Sketch
-	// Block state: banks[i] holds all n lanes of specs[i]; updates[w] is
-	// worker w's reusable gather scratch.
+	// banks[i] holds all n lanes of specs[i]; updates[w] is worker w's
+	// reusable gather scratch.
 	banks   []*l0.Bank
 	updates []*l0.BlockUpdates
 
@@ -86,24 +80,14 @@ type Maintainer struct {
 // graph under the given sampler stack.
 func NewMaintainer(n int, specs []l0.Spec, opts Options) *Maintainer {
 	m := &Maintainer{n: n, specs: specs, opts: opts}
-	if opts.Block {
-		m.banks = make([]*l0.Bank, len(specs))
-		for i, sp := range specs {
-			m.banks[i] = l0.NewBank()
-			m.banks[i].Reset(sp.Levels(), n)
-		}
-		m.updates = make([]*l0.BlockUpdates, opts.workers())
-		for w := range m.updates {
-			m.updates[w] = &l0.BlockUpdates{}
-		}
-		return m
+	m.banks = make([]*l0.Bank, len(specs))
+	for i, sp := range specs {
+		m.banks[i] = l0.NewBank()
+		m.banks[i].Reset(sp.Levels(), n)
 	}
-	m.perVert = make([][]*l0.Sketch, n)
-	for v := range m.perVert {
-		m.perVert[v] = make([]*l0.Sketch, len(specs))
-		for i, sp := range specs {
-			m.perVert[v][i] = sp.NewSketch()
-		}
+	m.updates = make([]*l0.BlockUpdates, opts.workers())
+	for w := range m.updates {
+		m.updates[w] = &l0.BlockUpdates{}
 	}
 	return m
 }
@@ -147,69 +131,39 @@ func (m *Maintainer) ApplyBatch(ops []Op) {
 	m.applied += len(ops)
 }
 
-// applyRange applies the batch's updates for lanes in [lo, hi). Workers
-// write disjoint lane ranges of shared banks (or disjoint per-vertex
-// sketches), so concurrent calls never touch the same memory.
+// applyRange gathers the batch's updates for lanes in [lo, hi) and
+// flushes them through every spec's UpdateBlock. Workers write disjoint
+// lane ranges of the shared banks, so concurrent calls never touch the
+// same memory.
 func (m *Maintainer) applyRange(worker, lo, hi int, ops []Op) {
-	if m.opts.Block {
-		upd := m.updates[worker]
-		upd.Reset()
-		for _, op := range ops {
-			idx := EdgeIndex(m.n, op.U, op.V)
-			small, large := op.U, op.V
-			if small > large {
-				small, large = large, small
-			}
-			if small >= lo && small < hi {
-				upd.Add(small, idx, !op.Insert) // smaller endpoint: +1 on insert
-			}
-			if large >= lo && large < hi {
-				upd.Add(large, idx, op.Insert) // larger endpoint: −1 on insert
-			}
-		}
-		if upd.Len() == 0 {
-			return
-		}
-		for i, sp := range m.specs {
-			sp.UpdateBlock(m.banks[i], upd)
-		}
-		return
-	}
+	upd := m.updates[worker]
+	upd.Reset()
 	for _, op := range ops {
 		idx := EdgeIndex(m.n, op.U, op.V)
-		dir := int64(-1)
-		if op.Insert {
-			dir = 1
-		}
 		small, large := op.U, op.V
 		if small > large {
 			small, large = large, small
 		}
 		if small >= lo && small < hi {
-			for i, sp := range m.specs {
-				sp.Update(m.perVert[small][i], idx, dir)
-			}
+			upd.Add(small, idx, !op.Insert) // smaller endpoint: +1 on insert
 		}
 		if large >= lo && large < hi {
-			for i, sp := range m.specs {
-				sp.Update(m.perVert[large][i], idx, -dir)
-			}
+			upd.Add(large, idx, op.Insert) // larger endpoint: −1 on insert
 		}
+	}
+	if upd.Len() == 0 {
+		return
+	}
+	for i, sp := range m.specs {
+		sp.UpdateBlock(m.banks[i], upd)
 	}
 }
 
-// writeVertex serializes vertex v's sketch stack (all specs in order) —
-// the same wire layout whichever path maintains the state, by the Bank's
-// serialization contract.
-func (m *Maintainer) writeVertex(w *bitio.Writer, v int) {
-	if m.opts.Block {
-		for _, b := range m.banks {
-			b.WriteLane(w, v)
-		}
-		return
-	}
-	for _, sk := range m.perVert[v] {
-		sk.Write(w)
+// WriteVertex appends vertex v's current sketch stack (all specs in
+// order) to w, in the wire layout of a one-round AGM sketch.
+func (m *Maintainer) WriteVertex(w *bitio.Writer, v int) {
+	for _, b := range m.banks {
+		b.WriteLane(w, v)
 	}
 }
 
@@ -234,7 +188,7 @@ func (m *Maintainer) Checkpoint() *Checkpoint {
 	}
 	for v := 0; v < m.n; v++ {
 		w := &bitio.Writer{}
-		m.writeVertex(w, v)
+		m.WriteVertex(w, v)
 		c.bufs[v] = append([]byte(nil), w.Bytes()...)
 		c.nbits[v] = w.Len()
 		c.sums[v] = m.vertexChecksum(v)
@@ -242,19 +196,12 @@ func (m *Maintainer) Checkpoint() *Checkpoint {
 	return c
 }
 
-// vertexChecksum folds the per-spec sketch checksums of one vertex into
-// a single word (scalar Sketch.Checksum and Bank.LaneChecksum agree by
-// construction, so both paths produce identical values).
+// vertexChecksum folds the per-spec lane checksums of one vertex into a
+// single word.
 func (m *Maintainer) vertexChecksum(v int) uint32 {
 	var h uint32
-	if m.opts.Block {
-		for _, b := range m.banks {
-			h = h*0x01000193 ^ b.LaneChecksum(v)
-		}
-		return h
-	}
-	for _, sk := range m.perVert[v] {
-		h = h*0x01000193 ^ sk.Checksum()
+	for _, b := range m.banks {
+		h = h*0x01000193 ^ b.LaneChecksum(v)
 	}
 	return h
 }
@@ -312,8 +259,8 @@ func Process(s *Stream, specs []l0.Spec, opts Options) *Run {
 }
 
 // Rebuild sketches a materialized graph from scratch (single worker,
-// scalar path, edges in sorted graph order) and returns the resulting
-// checkpoint — the independent reference incremental maintenance must
+// edges in sorted graph order, inserts only) and returns the resulting
+// checkpoint — the from-scratch state incremental maintenance must
 // match byte for byte. Linearity is what makes the comparison fair: the
 // sketch of the net graph does not depend on the update order or on
 // cancelled edges, so any legal stream prefix with this net graph must

@@ -4,14 +4,18 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/l0"
 	"repro/internal/rng"
 )
 
 // TestEpochParity is the subsystem's acceptance proof: for every
 // generated pattern, the incrementally maintained sketch state is
-// byte-identical to a from-scratch sketch of the materialized graph at
-// every epoch boundary, at Workers ∈ {1, 2, 8}, on both the scalar and
-// the columnar block path.
+// byte-identical to the scalar reference's from-scratch sketch of the
+// materialized graph (reference_test.go) at every epoch boundary, at
+// Workers ∈ {1, 2, 8}. With block=true each epoch is applied as one
+// batch (Process); with block=false the same ops are applied one
+// ApplyBatch call at a time, the way agm.StreamSketcher drives the
+// maintainer, so batch boundaries cannot move a bit either.
 func TestEpochParity(t *testing.T) {
 	coins := rng.NewPublicCoins(91)
 	for _, spec := range allSpecs(31) {
@@ -24,9 +28,17 @@ func TestEpochParity(t *testing.T) {
 			for _, block := range []bool{false, true} {
 				name := fmt.Sprintf("%s/workers=%d/block=%v", spec.Pattern, workers, block)
 				t.Run(name, func(t *testing.T) {
-					run := Process(s, specs, Options{Workers: workers, Block: block})
+					run := Process(s, specs, Options{Workers: workers})
+					if !block {
+						run = processOpByOp(s, specs, Options{Workers: workers})
+					}
 					if len(run.Checkpoints) != s.Epochs() {
 						t.Fatalf("%d checkpoints, want %d", len(run.Checkpoints), s.Epochs())
+					}
+					for e, c := range run.Checkpoints {
+						if err := diffCheckpoint(c, refRebuild(s.GraphAt(e), specs)); err != nil {
+							t.Fatalf("epoch %d: %v", e, err)
+						}
 					}
 					if err := VerifyEpochParity(run, specs); err != nil {
 						t.Fatal(err)
@@ -37,9 +49,23 @@ func TestEpochParity(t *testing.T) {
 	}
 }
 
-// TestCheckpointsAgreeAcrossStrategies pins the stronger cross-strategy
-// invariant directly: every (workers, block) combination produces the
-// same digest and the same per-vertex checksums at every epoch.
+// processOpByOp is Process with every op applied as its own batch.
+func processOpByOp(s *Stream, specs []l0.Spec, opts Options) *Run {
+	m := NewMaintainer(s.N(), specs, opts)
+	run := &Run{Stream: s}
+	for e := 0; e < s.Epochs(); e++ {
+		ops := s.EpochOps(e)
+		for i := range ops {
+			m.ApplyBatch(ops[i : i+1])
+		}
+		run.Checkpoints = append(run.Checkpoints, m.Checkpoint())
+	}
+	return run
+}
+
+// TestCheckpointsAgreeAcrossStrategies pins the cross-strategy invariant
+// directly: at every worker count the maintainer produces the scalar
+// reference's digest and per-vertex checksums at every epoch.
 func TestCheckpointsAgreeAcrossStrategies(t *testing.T) {
 	coins := rng.NewPublicCoins(92)
 	s, err := Generate(churnSpec(37))
@@ -47,20 +73,11 @@ func TestCheckpointsAgreeAcrossStrategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := Samplers(s.N(), 2, coins)
-	ref := Process(s, specs, Options{Workers: 1, Block: false})
-	for _, workers := range []int{2, 8} {
-		for _, block := range []bool{false, true} {
-			run := Process(s, specs, Options{Workers: workers, Block: block})
-			for e := range ref.Checkpoints {
-				want, got := ref.At(e), run.At(e)
-				if want.Digest() != got.Digest() {
-					t.Fatalf("workers=%d block=%v epoch %d: digest diverges", workers, block, e)
-				}
-				for v := 0; v < s.N(); v++ {
-					if want.Checksum(v) != got.Checksum(v) {
-						t.Fatalf("workers=%d block=%v epoch %d vertex %d: checksum diverges", workers, block, e, v)
-					}
-				}
+	for _, workers := range []int{1, 2, 8} {
+		run := Process(s, specs, Options{Workers: workers})
+		for e, c := range run.Checkpoints {
+			if err := diffCheckpoint(c, refRebuild(s.GraphAt(e), specs)); err != nil {
+				t.Fatalf("workers=%d epoch %d: %v", workers, e, err)
 			}
 		}
 	}
@@ -77,23 +94,21 @@ func TestNetZeroCheckpointsAreEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := Samplers(s.N(), 2, coins)
-	for _, block := range []bool{false, true} {
-		run := Process(s, specs, Options{Workers: 4, Block: block})
-		final := run.At(s.Epochs() - 1)
-		empty := NewMaintainer(s.N(), specs, Options{}).Checkpoint()
-		if final.Digest() != empty.Digest() {
-			t.Fatalf("block=%v: net-zero checkpoint is not the empty-graph sketch", block)
-		}
-		for v := 0; v < s.N(); v++ {
-			r := final.Vertex(v)
-			for r.Remaining() > 0 {
-				b, err := r.ReadBit()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if b {
-					t.Fatalf("block=%v: vertex %d has a nonzero bit after net-zero stream", block, v)
-				}
+	run := Process(s, specs, Options{Workers: 4})
+	final := run.At(s.Epochs() - 1)
+	empty := NewMaintainer(s.N(), specs, Options{}).Checkpoint()
+	if final.Digest() != empty.Digest() {
+		t.Fatal("net-zero checkpoint is not the empty-graph sketch")
+	}
+	for v := 0; v < s.N(); v++ {
+		r := final.Vertex(v)
+		for r.Remaining() > 0 {
+			b, err := r.ReadBit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b {
+				t.Fatalf("vertex %d has a nonzero bit after net-zero stream", v)
 			}
 		}
 	}
@@ -109,7 +124,7 @@ func TestCheckpointImmutability(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := Samplers(s.N(), 2, coins)
-	m := NewMaintainer(s.N(), specs, Options{Block: true})
+	m := NewMaintainer(s.N(), specs, Options{})
 	m.ApplyBatch(s.EpochOps(0))
 	c := m.Checkpoint()
 	digest := c.Digest()
@@ -135,8 +150,8 @@ func TestDecodedStreamDrivesMaintainer(t *testing.T) {
 		t.Fatal(err)
 	}
 	specs := Samplers(s.N(), 2, coins)
-	a := Process(s, specs, Options{Block: true})
-	b := Process(decoded, specs, Options{Block: true})
+	a := Process(s, specs, Options{})
+	b := Process(decoded, specs, Options{})
 	for e := range a.Checkpoints {
 		if a.At(e).Digest() != b.At(e).Digest() {
 			t.Fatalf("epoch %d: decoded stream diverges from original", e)

@@ -1,14 +1,14 @@
 // Package dynstream adds the dynamic-graph workload the linear sketches
 // were built for: seed-derived insert/delete edge streams, an incremental
-// maintenance driver that pushes ±1 deltas through the existing ℓ₀ hot
-// paths (scalar Spec.Update and the columnar Bank/UpdateBlock path), and
-// an epoch/checkpoint API so protocols can query sketch state at any
-// stream prefix. Linearity makes deletions free — an insertion adds an
-// edge's contribution to both endpoint sketches, a deletion subtracts
-// it — so after any prefix the maintained sketches are bit-identical to
-// sketching the materialized graph from scratch. That byte-level parity,
-// at any worker count and on either execution path, is the package's
-// determinism contract (maintain_test.go proves it epoch by epoch).
+// maintenance driver that pushes ±1 deltas through the ℓ₀ hot path (the
+// columnar Bank/UpdateBlock path), and an epoch/checkpoint API so
+// protocols can query sketch state at any stream prefix. Linearity makes
+// deletions free — an insertion adds an edge's contribution to both
+// endpoint sketches, a deletion subtracts it — so after any prefix the
+// maintained sketches are bit-identical to sketching the materialized
+// graph from scratch. That byte-level parity, at any worker count and
+// any batching, is the package's determinism contract (maintain_test.go
+// proves it epoch by epoch against a scalar reference).
 //
 // On top of the stream machinery the package registers the repository's
 // first multi-pass protocol: a semi-streaming (1+ε)-approximate maximum

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"sync/atomic"
-
 	"repro/internal/bitio"
 	"repro/internal/core"
 	"repro/internal/rng"
@@ -11,18 +9,18 @@ import (
 // BlockBroadcaster is the optional columnar fast path of a Broadcaster:
 // a protocol that can compute a whole shard of per-vertex messages in
 // one call, amortizing per-message setup (spec walks, sketch state,
-// serialization growth) across the shard. The engine uses it per shard
-// when available and enabled, falling back to per-vertex Broadcast
-// otherwise.
+// serialization growth) across the shard. The engine calls it per shard
+// exactly when the protocol implements it; protocols without a block
+// form run the per-vertex Broadcast loop.
 //
 // Contract: BroadcastBlock(round, views, t, coins, out) must fill
 // out[i] with exactly the bits Broadcast(round, views[i], t, coins)
-// would produce — the block path is a speed lever, never a semantic one,
-// so transcripts stay byte-identical across paths and across any
+// would produce, so transcripts stay byte-identical across any
 // Workers/ShardSize setting (wire/block_parity_test.go enforces this
-// over every registered protocol). On error it returns the index within
-// views of the failing vertex so the engine's deterministic
-// first-failure rule keeps reporting the lowest (round, vertex).
+// over every registered protocol, against a wrapper that hides the
+// block form). On error it returns the index within views of the
+// failing vertex so the engine's deterministic first-failure rule keeps
+// reporting the lowest (round, vertex).
 //
 // Writers placed in out may be ownership-transferring
 // (bitio.NewOwnedWriter): SealRound then steals their buffers instead of
@@ -30,35 +28,4 @@ import (
 type BlockBroadcaster interface {
 	Broadcaster
 	BroadcastBlock(round int, views []core.VertexView, transcript *Transcript, coins *rng.PublicCoins, out []*bitio.Writer) (int, error)
-}
-
-// blockExecution is the process-wide toggle for the columnar fast path,
-// on by default. It is a package global because engines are constructed
-// deep inside the service layers (wire.ExecuteSpec, the referee server);
-// the CLI -block flags flip it once at startup. Per-engine opt-out is
-// Engine.DisableBlock.
-var blockExecution atomic.Bool
-
-func init() { blockExecution.Store(true) }
-
-// SetBlockExecution enables or disables the columnar fast path
-// process-wide. Transcripts are byte-identical either way; only speed
-// changes.
-func SetBlockExecution(on bool) { blockExecution.Store(on) }
-
-// BlockExecutionEnabled reports the process-wide toggle.
-func BlockExecutionEnabled() bool { return blockExecution.Load() }
-
-// blockFor resolves the block path for p: non-nil only when p implements
-// BlockBroadcaster and neither the process-wide toggle nor the engine's
-// DisableBlock opts out.
-func (e *Engine) blockFor(p Broadcaster) BlockBroadcaster {
-	if e != nil && e.DisableBlock {
-		return nil
-	}
-	if !blockExecution.Load() {
-		return nil
-	}
-	block, _ := p.(BlockBroadcaster)
-	return block
 }

@@ -92,12 +92,6 @@ type Engine struct {
 	// worker as one unit; <= 0 selects a size that yields ~8 shards per
 	// worker for load balance. ShardSize never changes results.
 	ShardSize int
-	// DisableBlock forces the per-vertex Broadcast path even for
-	// protocols implementing BlockBroadcaster, overriding the
-	// process-wide SetBlockExecution toggle for this engine. Like
-	// Workers and ShardSize it never changes results, only speed —
-	// the benchmarks use it to measure the scalar path.
-	DisableBlock bool
 }
 
 // workerCount resolves the effective worker count.
@@ -178,7 +172,7 @@ func (e *Engine) Execute(ctx context.Context, p Broadcaster, g *graph.Graph, coi
 	reg := &registry{}
 	transcript := NewTranscript()
 	adaptive, _ := p.(Adaptive)
-	block := e.blockFor(p)
+	block, _ := p.(BlockBroadcaster)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()

@@ -6,10 +6,10 @@ package experiments
 // seed-derived churn streams and tabulates, per (churn rate, ε), the
 // worst epoch's |M|/|M*| ratio against blossom ground truth plus the
 // communication split the adaptive engine accounts per lane. The stream
-// itself is maintained incrementally (scalar and columnar paths both),
-// and the row's digest column pins that the two checkpoint strategies
-// agree at every epoch — the tentpole determinism invariant, surfaced as
-// an experiment artifact.
+// itself is maintained incrementally (at one and at two apply workers),
+// and the row's digest column pins that both runs agree with a
+// from-scratch rebuild at every epoch — the tentpole determinism
+// invariant, surfaced as an experiment artifact.
 
 import (
 	"context"
@@ -43,7 +43,7 @@ func E50DynamicMatching(scale Scale, seed uint64) ([]*Table, error) {
 		Notes: []string{
 			"min ratio = worst epoch's |M|/|M*| against blossom ground truth; the protocol guarantees >= 1-eps at every epoch",
 			"player/feedback bits = max over epochs of uplink vs. referee downlink totals; passes = 2*ceil(1/eps)+2",
-			"sketch digest ok = incremental maintenance (scalar and columnar, Workers=2) matched a from-scratch rebuild at every epoch",
+			"sketch digest ok = incremental maintenance (Workers=1 and Workers=2) matched a from-scratch rebuild at every epoch",
 		},
 	}
 	eng := newEngine()
@@ -57,13 +57,14 @@ func E50DynamicMatching(scale Scale, seed uint64) ([]*Table, error) {
 			return nil, err
 		}
 
-		// Maintain the stream's sketches incrementally on both hot paths
-		// and compare every checkpoint against a from-scratch rebuild:
-		// the epoch-parity invariant, re-proven on the sweep's own data.
+		// Maintain the stream's sketches incrementally at each worker
+		// count and compare every checkpoint against a from-scratch
+		// rebuild: the epoch-parity invariant, re-proven on the sweep's
+		// own data.
 		specs := dynstream.Samplers(n, 2, coins.Derive("e50-samplers"))
 		digestOK := true
-		for _, block := range []bool{false, true} {
-			run := dynstream.Process(stream, specs, dynstream.Options{Workers: 2, Block: block})
+		for _, workers := range []int{1, 2} {
+			run := dynstream.Process(stream, specs, dynstream.Options{Workers: workers})
 			if err := dynstream.VerifyEpochParity(run, specs); err != nil {
 				digestOK = false
 			}

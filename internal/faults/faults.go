@@ -264,10 +264,10 @@ func (i *Injector) Broadcast(round int, view core.VertexView, t *engine.Transcri
 // the inner protocol computes the whole block (through its own block
 // path when it has one), then the plan's faults are applied message by
 // message. Every fault decision is label-derived from (round, view.ID)
-// alone, so the faulted transcript is bit-identical to the scalar
+// alone, so the faulted transcript is bit-identical to the per-vertex
 // Broadcast path's — block boundaries cannot shift any coin stream.
 // Straggler sleeps happen before the inner computation, preserving the
-// scalar path's "delay then broadcast" ordering per message.
+// per-vertex path's "delay then broadcast" ordering per message.
 func (i *Injector) BroadcastBlock(round int, views []core.VertexView, t *engine.Transcript, coins *rng.PublicCoins, out []*bitio.Writer) (int, error) {
 	for _, view := range views {
 		if coin(i.coins, "straggle", round, view.ID, i.plan.StragglerProb) {

@@ -1,11 +1,9 @@
 package l0
 
-// Columnar sketch state, for players and the referee alike. The scalar
-// path builds one heap Sketch per (vertex, spec): an []OneSparse whose
-// cells are updated through per-call pointer chasing and serialized cell
-// by cell. A Bank instead holds the one-sparse cells of a whole block of
-// vertices ("lanes") as parallel field-element slices, so a spec's
-// updates for the entire block run as tight loops over flat arrays:
+// Columnar sketch state, for players and the referee alike. A Bank holds
+// the one-sparse cells of a whole block of vectors ("lanes") as
+// parallel field-element slices, so a spec's updates for the entire
+// block run as tight loops over flat arrays:
 //
 //   - the per-update terms (Reduce(index), z^{index+1}, the sampling
 //     level) are computed for the whole block by the batched field
@@ -16,15 +14,15 @@ package l0
 //
 // On the referee side a lane is one decoded sketch: ReadLane and
 // ReadLaneTolerant unpack a serialized sketch into a lane through the
-// bulk 61-bit kernel (bitio.Reader.ReadUint61s) with the scalar
-// reader's range checks and error text, AddLane merges a component's
-// lanes into its root, and SampleLane/LaneIsZero recover from a lane
-// exactly as Sample/IsZero do from the equivalent Sketch.
+// bulk 61-bit kernel (bitio.Reader.ReadUint61s) with range checks and
+// error text fixed per element, AddLane merges a component's lanes into
+// its root, and SampleLane/LaneIsZero recover from a lane.
 //
 // Bit-compatibility: a lane of the bank holds exactly the cells the
-// scalar Spec.Update would produce for the same update sequence
-// (bank_test.go proves byte equality of the serializations and equality
-// of the checksums), so swapping the bank in is transcript-invisible.
+// scalar Spec.Update would produce for the same update sequence, and
+// WriteLane emits exactly Sketch.Write's bits (bank_test.go proves byte
+// equality of the serializations and equality of the checksums against
+// the scalar reference).
 //
 // Everything here is allocation-free in steady state: buffers grow to
 // the block's high-water mark and are reused; Reset scrubs only the
@@ -45,7 +43,7 @@ import (
 type Bank struct {
 	levels, lanes int
 	// val/idx/fp hold cell component c of lane l, level v at
-	// [l*levels + v] — the columnar split of OneSparse{valSum, idxSum,
+	// [l*levels + v] — the columnar split of oneSparse{valSum, idxSum,
 	// fpSum}.
 	val, idx, fp []field.Elem
 	// top[l] is lane l's touched-level watermark: cells at levels >=
@@ -111,8 +109,8 @@ func (b *Bank) addRange(lane int, lvl int32, v, i, f field.Elem) {
 	}
 }
 
-// AddLane merges lane src into lane dst cell-wise — the columnar form of
-// Sketch.Add, for referee-side merging over banked state.
+// AddLane merges lane src into lane dst cell-wise — vector addition of
+// the two sketched vectors, for referee-side merging over banked state.
 func (b *Bank) AddLane(dst, src int) {
 	db, sb := dst*b.levels, src*b.levels
 	field.AddBlock(b.val[db:db+b.levels], b.val[sb:sb+b.levels])
@@ -157,8 +155,8 @@ func (b *Bank) WriteLane(w *bitio.Writer, lane int) {
 // canonical field value.
 var errOutOfRange = errors.New("l0: field element out of range")
 
-// ReadLane deserializes one sketch serialized under sp (by Sketch.Write
-// or WriteLane) into the given lane, replacing its cells. It rejects the
+// ReadLane deserializes one sketch serialized under sp (by WriteLane or
+// Sketch.Write) into the given lane, replacing its cells. It rejects the
 // message at its first bad element, in serialization order: a short
 // message or an out-of-range element yields "l0: level ℓ: " wrapping
 // bitio.ErrShortMessage or the range error. The bank must have sp's
@@ -230,15 +228,17 @@ func (b *Bank) readLane(lane int, r *bitio.Reader, strict bool) (valid bool, err
 	return valid, nil
 }
 
-// SampleLane is Sample for the sketch held in one lane: it scans the
-// lane's levels from the most aggressive subsampling down and returns
-// the first successful one-sparse recovery. Levels at or above the
-// lane's watermark are zero and could never recover, so the scan starts
-// below it.
+// SampleLane attempts to recover one nonzero coordinate of the vector
+// sketched in one lane: it scans the lane's levels from the most
+// aggressive subsampling down and returns the first successful
+// one-sparse recovery. For a nonzero vector it succeeds with constant
+// probability over the Spec's coins; for the zero vector it reports
+// ok = false. Levels at or above the lane's watermark are zero and could
+// never recover, so the scan starts below it.
 func (sp Spec) SampleLane(b *Bank, lane int) (index uint64, value int64, ok bool) {
 	base := lane * b.levels
 	for l := int(b.top[lane]) - 1; l >= 0; l-- {
-		cell := OneSparse{valSum: b.val[base+l], idxSum: b.idx[base+l], fpSum: b.fp[base+l]}
+		cell := oneSparse{valSum: b.val[base+l], idxSum: b.idx[base+l], fpSum: b.fp[base+l]}
 		if idx, v, ok := cell.recover(sp.universe, sp.powZ); ok {
 			return idx, v, true
 		}
@@ -246,8 +246,7 @@ func (sp Spec) SampleLane(b *Bank, lane int) (index uint64, value int64, ok bool
 	return 0, 0, false
 }
 
-// LaneIsZero reports whether every cell of the lane is zero: IsZero for
-// the sketch held in one lane.
+// LaneIsZero reports whether every cell of the lane is zero.
 func (b *Bank) LaneIsZero(lane int) bool {
 	base := lane * b.levels
 	for l := base; l < base+int(b.top[lane]); l++ {
@@ -258,9 +257,10 @@ func (b *Bank) LaneIsZero(lane int) bool {
 	return true
 }
 
-// LaneChecksum digests one lane with the same FNV-1a fold as
-// Sketch.Checksum, zero cells included, so banked and scalar encodings
-// produce identical resilient checksums.
+// LaneChecksum digests one lane into 32 bits: an FNV-1a fold over the
+// canonical field elements of every cell, zero cells included.
+// Resilient encodings append it after a sketch stack so the referee can
+// detect in-range bit flips that a plain range check cannot.
 func (b *Bank) LaneChecksum(lane int) uint32 {
 	base := lane * b.levels
 	h := uint64(checksumOffset)

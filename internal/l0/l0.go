@@ -1,10 +1,10 @@
 // Package l0 implements ℓ₀-sampling linear sketches over signed integer
 // vectors, the building block of the AGM graph sketches (package agm).
 //
-// A OneSparse cell exactly recovers a vector with at most one nonzero
+// A one-sparse cell exactly recovers a vector with at most one nonzero
 // coordinate and detects (with high probability, via a polynomial
-// fingerprint) that a vector has more than one. A Sampler stacks
-// OneSparse cells over geometrically subsampled index sets, so that for
+// fingerprint) that a vector has more than one. A sampler stacks
+// one-sparse cells over geometrically subsampled index sets, so that for
 // any nonzero vector some level is 1-sparse with constant probability and
 // a uniform-ish nonzero coordinate can be recovered.
 //
@@ -12,6 +12,10 @@
 // obtain the sketch of the sum, which is exactly what lets the AGM referee
 // merge vertex sketches into component sketches with all internal edges
 // cancelling.
+//
+// Sketch state lives in a Bank (bank.go), players and referee alike. The
+// scalar Sketch below serves the service benchmark's update kernel probe
+// and the bit-serial test references.
 package l0
 
 import (
@@ -24,63 +28,46 @@ import (
 	"repro/internal/rng"
 )
 
-// maxMagnitude bounds the |value| a OneSparse cell will report when
+// maxMagnitude bounds the |value| a one-sparse cell will report when
 // mapping a field element back to a signed integer. Graph sketches only
 // use ±1 deltas with bounded accumulation, so a small bound suffices and
 // everything above it is treated as "not one-sparse".
 const maxMagnitude = 1 << 20
 
-// OneSparse is a linear sketch that recovers vectors with exactly one
+// oneSparse is a linear sketch that recovers vectors with exactly one
 // nonzero coordinate: it maintains in GF(p) the value sum, the
 // index-weighted sum and a fingerprint sum Σ w_i·z^{i+1}.
-type OneSparse struct {
+type oneSparse struct {
 	valSum field.Elem // Σ w_i
 	idxSum field.Elem // Σ w_i · i
 	fpSum  field.Elem // Σ w_i · z^{i+1}
 }
 
-// Update adds delta at the given index. fpTerm is the already-
+// update adds delta at the given index. fpTerm is the already-
 // exponentiated fingerprint point z^{index+1} (z^{i+1} rather than z^i so
 // that index 0 still contributes to the fingerprint): a sketch stacks one
 // cell per subsampling level and an index at level ℓ updates ℓ+1 cells,
 // so the caller hoists the single exponentiation out of the per-level
 // loop — see Spec.Update — instead of paying a full square-and-multiply
 // chain per cell.
-func (o *OneSparse) Update(index uint64, delta int64, fpTerm field.Elem) {
+func (o *oneSparse) update(index uint64, delta int64, fpTerm field.Elem) {
 	w := elemFromSigned(delta)
 	o.valSum = field.Add(o.valSum, w)
 	o.idxSum = field.Add(o.idxSum, field.Mul(w, field.Reduce(index)))
 	o.fpSum = field.Add(o.fpSum, field.Mul(w, fpTerm))
 }
 
-// Add merges another cell into o (vector addition).
-func (o *OneSparse) Add(other OneSparse) {
-	o.valSum = field.Add(o.valSum, other.valSum)
-	o.idxSum = field.Add(o.idxSum, other.idxSum)
-	o.fpSum = field.Add(o.fpSum, other.fpSum)
-}
-
-// IsZero reports whether the cell is consistent with the all-zero vector.
-func (o *OneSparse) IsZero() bool {
-	return o.valSum == 0 && o.idxSum == 0 && o.fpSum == 0
-}
-
-// Recover returns (index, value) if the sketched vector has exactly one
+// recover returns (index, value) if the sketched vector has exactly one
 // nonzero coordinate in [0, universe). The fingerprint makes a false
 // positive on a >1-sparse vector occur with probability at most
-// universe/p over the choice of z.
-func (o *OneSparse) Recover(universe uint64, z field.Elem) (index uint64, value int64, ok bool) {
-	return o.recover(universe, func(e uint64) field.Elem { return field.Pow(z, e) })
-}
-
-// recover is Recover with the fingerprint exponentiation abstracted, so
-// Spec.Sample and Spec.SampleLane can serve it from the spec's fixed-base
-// window table while the z-taking API keeps the naive chain. Value sums
-// are inverted through field.CachedInv: they are small signed
-// multiplicities here (the signedFromElem guard has already passed),
-// exactly the case the inverse cache serves without a full Fermat chain.
-func (o *OneSparse) recover(universe uint64, powZ func(uint64) field.Elem) (index uint64, value int64, ok bool) {
-	if o.IsZero() || o.valSum == 0 {
+// universe/p over the choice of z. powZ serves the fingerprint
+// exponentiation, from the spec's fixed-base window table in
+// Spec.SampleLane. Value sums are inverted through field.CachedInv: they
+// are small signed multiplicities here (the signedFromElem guard has
+// already passed), exactly the case the inverse cache serves without a
+// full Fermat chain.
+func (o *oneSparse) recover(universe uint64, powZ func(uint64) field.Elem) (index uint64, value int64, ok bool) {
+	if o.valSum == 0 {
 		return 0, 0, false
 	}
 	v, ok := signedFromElem(o.valSum)
@@ -98,7 +85,7 @@ func (o *OneSparse) recover(universe uint64, powZ func(uint64) field.Elem) (inde
 }
 
 // write serializes the cell (3 × 61 bits).
-func (o *OneSparse) write(w *bitio.Writer) {
+func (o *oneSparse) write(w *bitio.Writer) {
 	w.WriteUint(uint64(o.valSum), 61)
 	w.WriteUint(uint64(o.idxSum), 61)
 	w.WriteUint(uint64(o.fpSum), 61)
@@ -176,59 +163,50 @@ func (sp Spec) Universe() uint64 { return sp.universe }
 // Levels returns the number of subsampling levels.
 func (sp Spec) Levels() int { return sp.levels }
 
-// Sketch is the linear ℓ₀-sampling sketch of one vector under a Spec.
+// Sketch is the scalar ℓ₀-sampling sketch of one vector under a Spec:
+// one heap cell per level, updated one index at a time. The service
+// benchmark's kernel probe times Update on it as the per-update
+// reference for UpdateBlock, and the bit-serial test references
+// serialize it with Write.
 type Sketch struct {
-	cells []OneSparse
+	cells []oneSparse
 }
 
-// NewSketch returns the all-zero sketch.
-func (sp Spec) NewSketch() *Sketch {
-	return &Sketch{cells: make([]OneSparse, sp.levels)}
-}
-
-// sketchPool recycles Sketch scratch buffers for the serialize-and-
-// discard hot path (a vertex sketches its incidence vector under ~100
-// specs per run, writes each sketch out, and has no further use for the
-// cells). Pooling is invisible in the transcript: AcquireSketch always
+// sketchPool recycles Sketch scratch buffers between AcquireSketch and
+// ReleaseSketch. Pooling is invisible in the bits: AcquireSketch always
 // hands back an all-zero sketch, and pooled sketches are plain value
 // buffers with no identity.
 var sketchPool = sync.Pool{New: func() any { return new(Sketch) }}
 
 // AcquireSketch returns an all-zero sketch for sp from the scratch pool.
-// Callers that release it with ReleaseSketch after serializing avoid one
-// cell-slice allocation per (vertex, spec) pair; callers that forget only
-// lose the reuse, never correctness.
+// The service benchmark's kernel probe (perfbench) acquires one per
+// lane of its l0.update timing, as do the scalar test references;
+// callers that forget ReleaseSketch only lose the reuse, never
+// correctness.
 func (sp Spec) AcquireSketch() *Sketch {
 	sk := sketchPool.Get().(*Sketch)
 	if cap(sk.cells) < sp.levels {
-		sk.cells = make([]OneSparse, sp.levels)
+		sk.cells = make([]oneSparse, sp.levels)
 		return sk
 	}
 	sk.cells = sk.cells[:sp.levels]
-	sk.Reset()
+	clear(sk.cells)
 	return sk
 }
 
 // ReleaseSketch returns a sketch obtained from AcquireSketch to the
-// scratch pool. The sketch must not be used afterwards.
+// scratch pool; the kernel probe releases each lane's sketch after
+// timing it. The sketch must not be used afterwards.
 func ReleaseSketch(sk *Sketch) {
 	if sk != nil {
 		sketchPool.Put(sk)
 	}
 }
 
-// Reset zeroes every cell, keeping the allocation.
-func (sk *Sketch) Reset() {
-	for i := range sk.cells {
-		sk.cells[i] = OneSparse{}
-	}
-}
-
-// Update adds delta to the vector coordinate at index. The fingerprint
-// power z^{index+1} is computed exactly once per call — through the
-// fixed-base window table — and reused by every level the index
-// participates in; the pre-optimization path paid one full
-// square-and-multiply chain per level.
+// Update adds delta to the vector coordinate at index — the scalar
+// update the kernel probe times as l0.update_ns. The fingerprint power
+// z^{index+1} is computed exactly once per call, through the fixed-base
+// window table, and reused by every level the index participates in.
 func (sp Spec) Update(sk *Sketch, index uint64, delta int64) {
 	if index >= sp.universe {
 		panic(fmt.Sprintf("l0: index %d outside universe %d", index, sp.universe))
@@ -237,38 +215,15 @@ func (sp Spec) Update(sk *Sketch, index uint64, delta int64) {
 	fpTerm := sp.powZ(index + 1)
 	// Index participates in levels 0..lvl.
 	for l := 0; l <= lvl; l++ {
-		sk.cells[l].Update(index, delta, fpTerm)
+		sk.cells[l].update(index, delta, fpTerm)
 	}
 }
 
-// Sample attempts to recover one nonzero coordinate of the sketched
-// vector. It scans levels from the most aggressive subsampling down,
-// returning the first successful one-sparse recovery. For a nonzero
-// vector it succeeds with constant probability over the Spec's coins; for
-// the zero vector it reports ok = false (and zero = true via IsZero).
-func (sp Spec) Sample(sk *Sketch) (index uint64, value int64, ok bool) {
-	for l := len(sk.cells) - 1; l >= 0; l-- {
-		if idx, v, ok := sk.cells[l].recover(sp.universe, sp.powZ); ok {
-			return idx, v, true
-		}
-	}
-	return 0, 0, false
-}
-
-// IsZero reports whether every cell is consistent with the zero vector.
-func (sk *Sketch) IsZero() bool {
-	for i := range sk.cells {
-		if !sk.cells[i].IsZero() {
-			return false
-		}
-	}
-	return true
-}
-
-// BitLen returns the serialized size of the sketch in bits.
-func (sk *Sketch) BitLen() int { return len(sk.cells) * 3 * 61 }
-
-// Write serializes the sketch.
+// Write serializes the sketch cell by cell, bit-serially: 3 × 61 bits
+// per level in level order, the layout Bank.WriteLane reproduces with
+// its bulk packer. The test references of the agm and dynstream packages
+// build their expected bytes with it, and the scalar side of the bench
+// guard's engine pair times it.
 func (sk *Sketch) Write(w *bitio.Writer) {
 	for i := range sk.cells {
 		sk.cells[i].write(w)
@@ -276,9 +231,7 @@ func (sk *Sketch) Write(w *bitio.Writer) {
 }
 
 // checksumOffset and checksumPrime are the FNV-1a parameters of the
-// sketch checksum, shared between the per-cell Sketch form and the
-// columnar Bank form (bank.go) so the two serializations stay
-// checksum-compatible by construction.
+// resilient-encoding sketch checksum (Bank.LaneChecksum).
 const (
 	checksumOffset = 0xcbf29ce484222325
 	checksumPrime  = 0x00000100000001b3
@@ -293,18 +246,4 @@ func checksumMix(h, v uint64) uint64 {
 		v >>= 8
 	}
 	return h
-}
-
-// Checksum digests the sketch's cells into 32 bits (an FNV-1a-style fold
-// over the canonical field elements). Resilient encodings append it after
-// a sketch stack so the referee can detect in-range bit flips that a
-// plain range check cannot.
-func (sk *Sketch) Checksum() uint32 {
-	h := uint64(checksumOffset)
-	for i := range sk.cells {
-		h = checksumMix(h, uint64(sk.cells[i].valSum))
-		h = checksumMix(h, uint64(sk.cells[i].idxSum))
-		h = checksumMix(h, uint64(sk.cells[i].fpSum))
-	}
-	return uint32(h) ^ uint32(h>>32)
 }

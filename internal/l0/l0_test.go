@@ -17,10 +17,10 @@ func testZ(seed uint64) field.Elem {
 }
 
 // upd updates a cell with the naive fingerprint term z^{index+1} —
-// OneSparse.Update takes the already-exponentiated term so that
+// oneSparse.update takes the already-exponentiated term so that
 // Spec.Update can hoist the exponentiation out of its per-level loop.
-func upd(o *OneSparse, index uint64, delta int64, z field.Elem) {
-	o.Update(index, delta, field.Pow(z, index+1))
+func upd(o *oneSparse, index uint64, delta int64, z field.Elem) {
+	o.update(index, delta, field.Pow(z, index+1))
 }
 
 func TestOneSparseExactRecovery(t *testing.T) {
@@ -31,7 +31,7 @@ func TestOneSparseExactRecovery(t *testing.T) {
 	}{
 		{0, 1}, {5, -1}, {1000, 7}, {0, -3}, {1 << 30, 1},
 	} {
-		var o OneSparse
+		var o oneSparse
 		upd(&o, c.index, c.delta, z)
 		idx, v, ok := o.Recover(1<<31, z)
 		if !ok {
@@ -46,7 +46,7 @@ func TestOneSparseExactRecovery(t *testing.T) {
 
 func TestOneSparseZeroVector(t *testing.T) {
 	z := testZ(2)
-	var o OneSparse
+	var o oneSparse
 	if !o.IsZero() {
 		t.Error("fresh cell not zero")
 	}
@@ -67,7 +67,7 @@ func TestOneSparseRejectsTwoSparse(t *testing.T) {
 	const trials = 200
 	src := rng.NewSource(4)
 	for i := 0; i < trials; i++ {
-		var o OneSparse
+		var o oneSparse
 		a, b := uint64(src.Intn(1000)), uint64(src.Intn(1000))
 		if a == b {
 			continue
@@ -87,7 +87,7 @@ func TestOneSparseMixedSignsCancelSum(t *testing.T) {
 	// +1 and -1 at different indices: value sum is zero but the vector is
 	// 2-sparse. Recovery must fail rather than divide by zero.
 	z := testZ(5)
-	var o OneSparse
+	var o oneSparse
 	upd(&o, 3, 1, z)
 	upd(&o, 9, -1, z)
 	if _, _, ok := o.Recover(100, z); ok {
@@ -100,7 +100,7 @@ func TestOneSparseMixedSignsCancelSum(t *testing.T) {
 
 func TestOneSparseLinearity(t *testing.T) {
 	z := testZ(6)
-	var a, b OneSparse
+	var a, b oneSparse
 	upd(&a, 10, 2, z)
 	upd(&b, 10, 3, z)
 	upd(&b, 20, 1, z)
@@ -114,7 +114,7 @@ func TestOneSparseLinearity(t *testing.T) {
 
 func TestOneSparseSerializationRoundTrip(t *testing.T) {
 	z := testZ(7)
-	var o OneSparse
+	var o oneSparse
 	upd(&o, 42, -5, z)
 	var w bitio.Writer
 	o.write(&w)

@@ -8,14 +8,72 @@ import (
 	"repro/internal/field"
 )
 
-// The scalar referee surface the banked lane readers replaced: one heap
-// Sketch per decoded sampler, read element by element through
-// Reader.ReadUint and merged with Sketch.Add. The tests keep it as the
-// reference the lane readers, AddLane and SampleLane must match.
+// The scalar sketch surface the Bank replaced, kept as the reference the
+// lanes must match: one heap Sketch per vector, sampled level by level,
+// checksummed cell by cell, read element by element through
+// Reader.ReadUint and merged with Sketch.Add. The lane readers, AddLane,
+// SampleLane, LaneIsZero and LaneChecksum are all checked against it.
+
+// Add merges another cell into o (vector addition).
+func (o *oneSparse) Add(other oneSparse) {
+	o.valSum = field.Add(o.valSum, other.valSum)
+	o.idxSum = field.Add(o.idxSum, other.idxSum)
+	o.fpSum = field.Add(o.fpSum, other.fpSum)
+}
+
+// IsZero reports whether the cell is consistent with the all-zero vector.
+func (o *oneSparse) IsZero() bool {
+	return o.valSum == 0 && o.idxSum == 0 && o.fpSum == 0
+}
+
+// Recover is recover with the naive fingerprint exponentiation chain.
+func (o *oneSparse) Recover(universe uint64, z field.Elem) (index uint64, value int64, ok bool) {
+	return o.recover(universe, func(e uint64) field.Elem { return field.Pow(z, e) })
+}
+
+// NewSketch returns the all-zero sketch.
+func (sp Spec) NewSketch() *Sketch {
+	return &Sketch{cells: make([]oneSparse, sp.levels)}
+}
+
+// Sample attempts to recover one nonzero coordinate of the sketched
+// vector, scanning levels from the most aggressive subsampling down.
+func (sp Spec) Sample(sk *Sketch) (index uint64, value int64, ok bool) {
+	for l := len(sk.cells) - 1; l >= 0; l-- {
+		if idx, v, ok := sk.cells[l].recover(sp.universe, sp.powZ); ok {
+			return idx, v, true
+		}
+	}
+	return 0, 0, false
+}
+
+// IsZero reports whether every cell is consistent with the zero vector.
+func (sk *Sketch) IsZero() bool {
+	for i := range sk.cells {
+		if !sk.cells[i].IsZero() {
+			return false
+		}
+	}
+	return true
+}
+
+// BitLen returns the serialized size of the sketch in bits.
+func (sk *Sketch) BitLen() int { return len(sk.cells) * 3 * 61 }
+
+// Checksum digests the sketch's cells with LaneChecksum's FNV-1a fold.
+func (sk *Sketch) Checksum() uint32 {
+	h := uint64(checksumOffset)
+	for i := range sk.cells {
+		h = checksumMix(h, uint64(sk.cells[i].valSum))
+		h = checksumMix(h, uint64(sk.cells[i].idxSum))
+		h = checksumMix(h, uint64(sk.cells[i].fpSum))
+	}
+	return uint32(h) ^ uint32(h>>32)
+}
 
 // readOneSparse deserializes a cell.
-func readOneSparse(r *bitio.Reader) (OneSparse, error) {
-	var o OneSparse
+func readOneSparse(r *bitio.Reader) (oneSparse, error) {
+	var o oneSparse
 	for _, dst := range []*field.Elem{&o.valSum, &o.idxSum, &o.fpSum} {
 		v, err := r.ReadUint(61)
 		if err != nil {
@@ -62,7 +120,7 @@ func (sp Spec) ReadSketchTolerant(r *bitio.Reader) (sk *Sketch, valid bool, err 
 	sk = sp.NewSketch()
 	valid = true
 	for i := range sk.cells {
-		var cell OneSparse
+		var cell oneSparse
 		cellOK := true
 		for _, dst := range []*field.Elem{&cell.valSum, &cell.idxSum, &cell.fpSum} {
 			v, err := r.ReadUint(61)
@@ -76,7 +134,7 @@ func (sp Spec) ReadSketchTolerant(r *bitio.Reader) (sk *Sketch, valid bool, err 
 			*dst = field.Elem(v)
 		}
 		if !cellOK {
-			cell = OneSparse{}
+			cell = oneSparse{}
 			valid = false
 		}
 		sk.cells[i] = cell

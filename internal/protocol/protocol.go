@@ -100,7 +100,7 @@ func (a *adapted[T]) Broadcast(round int, view core.VertexView, t *engine.Transc
 
 // BroadcastBlock forwards the inner protocol's columnar path when it has
 // one (cclique.OneRound always does) and otherwise falls back to
-// per-view Broadcast calls — byte-identical to the engine's own scalar
+// per-view Broadcast calls — byte-identical to the engine's own per-vertex
 // loop, so adapting a protocol never changes which bits a block
 // execution produces.
 func (a *adapted[T]) BroadcastBlock(round int, views []core.VertexView, t *engine.Transcript, coins *rng.PublicCoins, out []*bitio.Writer) (int, error) {

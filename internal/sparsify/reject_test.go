@@ -25,8 +25,8 @@ func TestDecodeRejections(t *testing.T) {
 		}
 		clean[v] = w
 	}
-	cfg := p.cfg.withDefaults(n)
-	group := skeletonBits(n, cfg) / cfg.K
+	cfg, skels := p.skeletons(n)
+	group := skels[0].SketchBits(n, coins.Derive("sparsify").DeriveIndex(0)) / cfg.K
 	lastSampler := (cfg.K-1)*group + 41*group/42 // in level 0's payload, which starts the message
 	for _, tc := range []struct {
 		name   string

@@ -134,6 +134,7 @@ func (p *Protocol) Sketch(view core.VertexView, coins *rng.PublicCoins) (*bitio.
 		}
 		w.WriteBytes(sw.Bytes())
 		w.WriteUvarint(uint64(sw.Len()))
+		bitio.Release(sw)
 	}
 	return w, nil
 }
@@ -143,14 +144,15 @@ func (p *Protocol) Decode(n int, sketches []*bitio.Reader, coins *rng.PublicCoin
 	cfg, skels := p.skeletons(n)
 	sp := &Sparsifier{N: n, Weight: make(map[graph.Edge]float64)}
 	for i := 0; i < cfg.Levels; i++ {
+		levelCoins := coins.Derive("sparsify").DeriveIndex(i)
+		// The skeleton's fixed sketch length fixes the payload length,
+		// so the recorded one is only checked against it.
+		expected := skels[i].SketchBits(n, levelCoins)
 		// Re-slice each vertex's level-i segment. Sketch wrote the
 		// payload bytes followed by the payload bit length.
 		levelReaders := make([]*bitio.Reader, n)
 		for v := 0; v < n; v++ {
-			// skeletonBits fixes the payload length, so the recorded one
-			// is only checked against it.
 			r := sketches[v]
-			expected := skeletonBits(n, cfg)
 			payload, err := r.ReadBytes((expected + 7) / 8)
 			if err != nil {
 				return nil, fmt.Errorf("sparsify: vertex %d level %d payload: %w", v, i, err)
@@ -165,7 +167,7 @@ func (p *Protocol) Decode(n int, sketches []*bitio.Reader, coins *rng.PublicCoin
 			}
 			levelReaders[v] = bitio.NewReader(payload, expected)
 		}
-		forestEdges, err := skels[i].Decode(n, levelReaders, coins.Derive("sparsify").DeriveIndex(i))
+		forestEdges, err := skels[i].Decode(n, levelReaders, levelCoins)
 		if err != nil {
 			return nil, fmt.Errorf("sparsify: level %d decode: %w", i, err)
 		}
@@ -201,26 +203,4 @@ func (p *Protocol) Verify(g *graph.Graph, out *Sparsifier) protocol.Outcome {
 	}
 	o.Valid = valid
 	return o
-}
-
-// skeletonBits returns the deterministic bit length of one skeleton
-// sketch for an n-vertex graph under cfg.
-func skeletonBits(n int, cfg Config) int {
-	f := cfg.Forest
-	// Mirror agm.Config.withDefaults.
-	rounds := f.Rounds
-	if rounds == 0 {
-		rounds = 2*bitio.UintWidth(n+1) + 4
-	}
-	reps := f.Reps
-	if reps == 0 {
-		reps = 3
-	}
-	// Mirror l0.NewSpec level count for universe n².
-	levels := 2
-	for u := uint64(n) * uint64(n); u > 0; u >>= 1 {
-		levels++
-	}
-	perSketch := levels * 3 * 61
-	return cfg.K * rounds * reps * perSketch
 }

@@ -144,11 +144,12 @@ func TestSkeletonBitsMatchesActual(t *testing.T) {
 	g := gen.Gnp(n, 0.3, rng.NewSource(8))
 	views := core.Views(g)
 	view := views[0]
-	w, err := p.Sketch(view, rng.NewPublicCoins(9))
+	coins := rng.NewPublicCoins(9)
+	w, err := p.Sketch(view, coins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := w.Len(), skeletonBits(n, cfg); got != want {
+	if got, want := w.Len(), p.SketchBits(n, coins); got != want {
 		t.Fatalf("actual skeleton sketch %d bits, predicted %d", got, want)
 	}
 }

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/faults"
+	"repro/internal/graph"
 	"repro/internal/protocol"
 	"repro/internal/rng"
 )
@@ -65,13 +66,18 @@ func ExecuteSpec(ctx context.Context, spec RunSpec) (*RunReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := build(g)
+	return execute(ctx, spec, g, build(g))
+}
+
+// execute runs p over g under the spec's workers, seeds and fault plan.
+func execute(ctx context.Context, spec RunSpec, g *graph.Graph, p engine.Protocol[Outcome]) (*RunReport, error) {
 	eng := &engine.Engine{Workers: spec.Workers}
 	coins := rng.NewPublicCoins(spec.Seed)
 
 	var (
 		res        engine.Result[Outcome]
 		transcript *engine.Transcript
+		err        error
 	)
 	if plan := spec.Faults.Plan(); plan.Active() {
 		faultCoins := rng.NewPublicCoins(spec.Faults.Seed).Derive("faults")

@@ -2,7 +2,8 @@
 # bench-guard: the block-path performance gate run by `make check`.
 #
 # Measures the engine block-vs-scalar benchmark pair (EngineBlockN1k /
-# EngineScalarN1k) and compares the block/scalar ns-per-op RATIO against
+# EngineScalarN1k in internal/agm, the block path against the scalar
+# reference sketcher) and compares the block/scalar ns-per-op RATIO against
 # the ratio recorded in bench/baseline.txt. Gating on the ratio rather
 # than absolute ns/op makes the check hold on any machine: both sides of
 # the pair run the identical workload in the same process moments apart,
@@ -45,7 +46,7 @@ if [ -z "$base_block" ] || [ -z "$base_scalar" ]; then
 fi
 
 echo "bench-guard: measuring EngineBlockN1k vs EngineScalarN1k" >&2
-go test -run='^$' -bench='EngineBlockN1k|EngineScalarN1k' -benchtime=1x -count=3 . >"$TMP"
+go test -run='^$' -bench='EngineBlockN1k|EngineScalarN1k' -benchtime=1x -count=3 ./internal/agm/ >"$TMP"
 
 now_block="$(min_ns "$TMP" EngineBlockN1k)"
 now_scalar="$(min_ns "$TMP" EngineScalarN1k)"
