@@ -24,7 +24,7 @@ BENCH_ENGINE := EngineBlockN1k|EngineScalarN1k
 all: check
 
 # check is the default gate: build + vet + tests, then the race detector
-# over the concurrency-bearing packages (engine scheduler, the cclique
+# over the concurrency-bearing packages (engine scheduler, the multi-round
 # protocols it drives in parallel, the fault injector that perturbs them
 # from inside the worker pool, and the AGM sketchers whose per-vertex and
 # block paths share one arena pool across engine workers), then the
@@ -69,7 +69,7 @@ test:
 	go build ./... && go vet ./... && go test ./...
 
 test-race:
-	go test -race ./internal/engine/... ./internal/cclique/... ./internal/faults/... \
+	go test -race ./internal/engine/... ./internal/faults/... \
 		./internal/matchproto/... ./internal/misproto/... ./internal/protocol/... \
 		./internal/wire/... ./internal/server/... ./internal/client/... \
 		./internal/cache/... ./internal/cluster/... ./internal/dynstream/... \

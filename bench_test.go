@@ -14,11 +14,11 @@ import (
 	"testing"
 
 	"repro/internal/agm"
-	"repro/internal/cclique"
 	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
@@ -133,7 +133,7 @@ func BenchmarkE60ConnectivityLowerBound(b *testing.B) {
 func benchEngineBroadcast(b *testing.B, n, workers int) {
 	b.Helper()
 	g := gen.Gnp(n, 8/float64(n), rng.NewSource(7))
-	p := &cclique.OneRound[[]graph.Edge]{P: agm.NewSpanningForest(agm.Config{})}
+	p := protocol.OneRound[[]graph.Edge](agm.NewSpanningForest(agm.Config{}))
 	eng := &engine.Engine{Workers: workers}
 	coins := rng.NewPublicCoins(9)
 	b.ReportAllocs()

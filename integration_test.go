@@ -6,12 +6,13 @@ package repro_test
 // output with independent verifiers.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/agm"
 	"repro/internal/ap3"
-	"repro/internal/cclique"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/harddist"
 	"repro/internal/matchproto"
@@ -103,14 +104,14 @@ func TestEndToEndLowerBoundPipeline(t *testing.T) {
 
 	// Stage 6: the two-round escape hatch solves MM and MIS on the hard
 	// instance with adaptive messages.
-	mm, err := cclique.Run[[]graph.Edge](matchproto.NewTwoRound(), inst.G, coins)
+	mm, err := engine.Run[[]graph.Edge](context.Background(), &engine.Engine{Workers: 1}, matchproto.NewTwoRound(), inst.G, coins)
 	if err != nil {
 		t.Fatalf("stage 6: %v", err)
 	}
 	if !graph.IsMaximalMatching(inst.G, mm.Output) {
 		t.Error("stage 6: two-round MM not maximal on the hard instance")
 	}
-	mis, err := cclique.Run[[]int](misproto.NewTwoRound(), inst.G, coins)
+	mis, err := engine.Run[[]int](context.Background(), &engine.Engine{Workers: 1}, misproto.NewTwoRound(), inst.G, coins)
 	if err != nil {
 		t.Fatalf("stage 6: %v", err)
 	}

@@ -15,11 +15,11 @@ import (
 	"testing"
 
 	"repro/internal/bitio"
-	"repro/internal/cclique"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
@@ -51,7 +51,7 @@ func benchEngineBroadcast(b *testing.B, n int, p engine.Broadcaster) {
 }
 
 func blockForest() engine.Broadcaster {
-	return &cclique.OneRound[[]graph.Edge]{P: NewSpanningForest(Config{})}
+	return protocol.OneRound[[]graph.Edge](NewSpanningForest(Config{}))
 }
 
 func BenchmarkEngineBlockN1k(b *testing.B) { benchEngineBroadcast(b, 1000, blockForest()) }

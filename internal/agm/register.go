@@ -6,7 +6,6 @@ package agm
 // and the refereed daemon.
 
 import (
-	"repro/internal/cclique"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/protocol"
@@ -14,23 +13,19 @@ import (
 
 func init() {
 	protocol.Register("agm-forest", func(g *graph.Graph) engine.Protocol[protocol.Outcome] {
-		return protocol.Adapt[[]graph.Edge](
-			&cclique.OneRound[[]graph.Edge]{P: NewSpanningForest(Config{})},
+		return protocol.Lift[[]graph.Edge](NewSpanningForest(Config{}),
 			protocol.EdgesOutcome(g, graph.IsSpanningForest))
 	})
 	protocol.Register("agm-forest-backup", func(g *graph.Graph) engine.Protocol[protocol.Outcome] {
-		return protocol.Adapt[[]graph.Edge](
-			&cclique.OneRound[[]graph.Edge]{P: NewSpanningForest(Config{BackupReps: 2})},
+		return protocol.Lift[[]graph.Edge](NewSpanningForest(Config{BackupReps: 2}),
 			protocol.EdgesOutcome(g, graph.IsSpanningForest))
 	})
 	protocol.Register("agm-skeleton", func(g *graph.Graph) engine.Protocol[protocol.Outcome] {
-		return protocol.Adapt[[]graph.Edge](
-			&cclique.OneRound[[]graph.Edge]{P: NewSkeleton(2, Config{})},
+		return protocol.Lift[[]graph.Edge](NewSkeleton(2, Config{}),
 			protocol.EdgesOutcome(g, nil))
 	})
 	protocol.Register("agm-components", func(g *graph.Graph) engine.Protocol[protocol.Outcome] {
-		return protocol.Adapt[int](
-			&cclique.OneRound[int]{P: NewComponentCount(Config{})},
+		return protocol.Lift[int](NewComponentCount(Config{}),
 			protocol.CountOutcome(g, func(g *graph.Graph, out int) bool {
 				_, count := g.Components()
 				return out == count

@@ -53,8 +53,8 @@ type Protocol[O any] interface {
 // block. out[i] must receive exactly the bits Sketch(views[i], coins)
 // would produce — block execution is a speed lever, never a semantic
 // one. On error it returns the index within views of the failing player.
-// The engine layer (engine.BlockBroadcaster via cclique.OneRound)
-// forwards every shard's view slice here.
+// The one-round adapter in package protocol (OneRound, Lift) forwards
+// every engine shard's view slice here.
 type BlockSketcher interface {
 	SketchBlock(views []VertexView, coins *rng.PublicCoins, out []*bitio.Writer) (int, error)
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/bitio"
-	"repro/internal/cclique"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -59,8 +58,8 @@ type SemiStream struct {
 const DefaultEps = 0.25
 
 var (
-	_ cclique.Protocol[[]graph.Edge] = (*SemiStream)(nil)
-	_ engine.Adaptive                = (*SemiStream)(nil)
+	_ engine.ResilientProtocol[[]graph.Edge] = (*SemiStream)(nil)
+	_ engine.Adaptive                        = (*SemiStream)(nil)
 )
 
 // NewSemiStream returns the protocol with the given slack (0 selects
@@ -78,10 +77,10 @@ func (p *SemiStream) EpsOf() float64 {
 // k is the augmenting-path depth parameter ⌈1/ε⌉.
 func (p *SemiStream) k() int { return int(math.Ceil(1 / p.EpsOf())) }
 
-// Name implements cclique.Protocol.
+// Name implements engine.Protocol.
 func (p *SemiStream) Name() string { return fmt.Sprintf("semistream-matching(eps=%g)", p.EpsOf()) }
 
-// Rounds implements cclique.Protocol: one seed pass, then one pass per
+// Rounds implements engine.Protocol: one seed pass, then one pass per
 // discovery hop up to the maximal relevant alternating depth 2k, plus a
 // settling pass after the last feedback.
 func (p *SemiStream) Rounds() int { return 2*p.k() + 2 }
@@ -133,7 +132,7 @@ func readReport(n, v int, r *bitio.Reader) (neighbors []int, count uint64, ok bo
 
 // pool gathers every edge reported in sealed rounds 0..upto (inclusive),
 // plus the count of messages that failed to parse cleanly per round.
-func (p *SemiStream) pool(n int, t *cclique.Transcript, upto int) (edges []graph.Edge, bad []int) {
+func (p *SemiStream) pool(n int, t *engine.Transcript, upto int) (edges []graph.Edge, bad []int) {
 	seen := make(map[graph.Edge]bool)
 	bad = make([]int, upto+1)
 	for round := 0; round <= upto; round++ {
@@ -157,7 +156,7 @@ func (p *SemiStream) pool(n int, t *cclique.Transcript, upto int) (edges []graph
 // refereeState computes the feedback content after the given sealed
 // round: the blossom maximum matching of the pooled edges and the active
 // set (vertices within pool-distance 2k of a free vertex).
-func (p *SemiStream) refereeState(n int, t *cclique.Transcript, round int) (matching []graph.Edge, active []bool) {
+func (p *SemiStream) refereeState(n int, t *engine.Transcript, round int) (matching []graph.Edge, active []bool) {
 	edges, _ := p.pool(n, t, round)
 	pooled := graph.FromEdges(n, edges)
 	matching = graph.MaximumMatching(pooled)
@@ -199,7 +198,7 @@ func (p *SemiStream) refereeState(n int, t *cclique.Transcript, round int) (matc
 // the referee broadcasts its current pool matching (uvarint count, then
 // both endpoints at id width) followed by the n-bit active-set mask.
 // After the final pass the referee is silent.
-func (p *SemiStream) Feedback(round int, t *cclique.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
+func (p *SemiStream) Feedback(round int, t *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
 	if round >= p.Rounds()-1 {
 		return nil, nil
 	}
@@ -264,7 +263,7 @@ func readFeedback(n int, r *bitio.Reader) (matched, active []bool, ok bool) {
 // transcript — the deduplication state a streaming player would keep
 // locally, reconstructed from public information so the protocol stays
 // stateless across passes.
-func sentBefore(n, v, round int, t *cclique.Transcript) map[int]bool {
+func sentBefore(n, v, round int, t *engine.Transcript) map[int]bool {
 	sent := make(map[int]bool)
 	for r := 0; r < round; r++ {
 		neighbors, _, _ := readReport(n, v, t.Message(r, v))
@@ -294,11 +293,11 @@ func (p *SemiStream) writeReport(view core.VertexView, round int, neighbors []in
 	return w
 }
 
-// Broadcast implements cclique.Protocol. Pass 0 seeds the pool with a
+// Broadcast implements engine.Protocol. Pass 0 seeds the pool with a
 // uniform sample; every later pass reports the not-yet-reported incident
 // edges the last feedback selects — all of them for an active vertex,
 // only those into the active set for a passive one.
-func (p *SemiStream) Broadcast(round int, view core.VertexView, t *cclique.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
+func (p *SemiStream) Broadcast(round int, view core.VertexView, t *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
 	if round >= p.Rounds() {
 		return nil, fmt.Errorf("dynstream: unexpected round %d", round)
 	}
@@ -327,15 +326,15 @@ func (p *SemiStream) Broadcast(round int, view core.VertexView, t *cclique.Trans
 	return p.writeReport(view, round, neighbors, coins), nil
 }
 
-// Decode implements cclique.Protocol: the output is the blossom maximum
+// Decode implements engine.Protocol: the output is the blossom maximum
 // matching of every edge any player ever reported.
-func (p *SemiStream) Decode(n int, t *cclique.Transcript, coins *rng.PublicCoins) ([]graph.Edge, error) {
+func (p *SemiStream) Decode(n int, t *engine.Transcript, coins *rng.PublicCoins) ([]graph.Edge, error) {
 	edges, _ := p.pool(n, t, p.Rounds()-1)
 	return graph.MaximumMatching(graph.FromEdges(n, edges)), nil
 }
 
 // DecodeResilient is Decode with damage accounting, satisfying
-// faults.ResilientProtocol:
+// engine.ResilientProtocol:
 //
 //   - ok: every report of every pass parsed cleanly, no report was at
 //     the cap, and every sealed feedback equals the referee's own
@@ -346,7 +345,7 @@ func (p *SemiStream) Decode(n int, t *cclique.Transcript, coins *rng.PublicCoins
 //     damaged downlink — players acted on feedback the referee never
 //     sent);
 //   - failed: more than half the players were damaged in some pass.
-func (p *SemiStream) DecodeResilient(n int, t *cclique.Transcript, coins *rng.PublicCoins) ([]graph.Edge, core.Resilience, error) {
+func (p *SemiStream) DecodeResilient(n int, t *engine.Transcript, coins *rng.PublicCoins) ([]graph.Edge, core.Resilience, error) {
 	out, err := p.Decode(n, t, coins)
 	if err != nil {
 		return nil, core.ResilienceFailed, err

@@ -47,14 +47,32 @@ type Broadcaster interface {
 	Broadcast(round int, view core.VertexView, transcript *Transcript, coins *rng.PublicCoins) (*bitio.Writer, error)
 }
 
-// Protocol is a multi-round broadcast protocol with output type O. It is
-// structurally identical to cclique.Protocol, whose Transcript type
-// aliases the engine's, so every existing protocol implementation
-// satisfies both.
+// Protocol is a broadcast protocol with output type O, run in the
+// broadcast congested clique: each round every player broadcasts one
+// message, and after the last round a referee computes the output from
+// the full transcript. It is the one protocol contract of the
+// repository. A one-round protocol whose output only the referee
+// computes is exactly a sketching protocol (the paper's §2.1);
+// protocol.OneRound embeds every core.Protocol this way. Multi-round
+// protocols are the §1.1 escape hatch (matchproto, misproto, dynstream).
+// The optional extensions are BlockBroadcaster, Adaptive and
+// ResilientProtocol.
 type Protocol[O any] interface {
 	Broadcaster
 	// Decode computes the output from the complete transcript.
 	Decode(n int, transcript *Transcript, coins *rng.PublicCoins) (O, error)
+}
+
+// ResilientProtocol is a Protocol whose referee can decode a damaged
+// transcript with graceful degradation. It is the transcript-level
+// analogue of core.ResilientProtocol; protocol.OneRound lifts the latter
+// into this interface, and faults.Run decodes through it.
+type ResilientProtocol[O any] interface {
+	Protocol[O]
+	// DecodeResilient is Decode over a possibly-damaged transcript. It
+	// must not report core.ResilienceOK unless every message of every
+	// round parsed cleanly.
+	DecodeResilient(n int, transcript *Transcript, coins *rng.PublicCoins) (O, core.Resilience, error)
 }
 
 // Adaptive is the optional referee-feedback extension of Broadcaster: an
@@ -86,7 +104,8 @@ type Adaptive interface {
 // is ready to use and runs with GOMAXPROCS workers.
 type Engine struct {
 	// Workers is the number of concurrent broadcast workers; <= 0 selects
-	// runtime.GOMAXPROCS(0). Workers never changes results, only speed.
+	// runtime.GOMAXPROCS(0). A round starts at most one worker per
+	// shard. Workers never changes results, only speed.
 	Workers int
 	// ShardSize is the number of consecutive vertices dispatched to a
 	// worker as one unit; <= 0 selects a size that yields ~8 shards per
@@ -192,7 +211,7 @@ func (e *Engine) Execute(ctx context.Context, p Broadcaster, g *graph.Graph, coi
 		type shard struct{ lo, hi int }
 		jobs := make(chan shard)
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w := 0; w < min(workers, shards); w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()

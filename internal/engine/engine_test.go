@@ -9,12 +9,12 @@ import (
 
 	"repro/internal/agm"
 	"repro/internal/bitio"
-	"repro/internal/cclique"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matchproto"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
@@ -110,9 +110,9 @@ func goldenCase[O any](t *testing.T, name string, newProto func() engine.Protoco
 			t.Errorf("%s workers=%d: Broadcasts = %d, want %d", name, workers, stats.Broadcasts, g.N()*ref.Rounds())
 		}
 
-		// Outputs and bit accounting must match the sequential cclique
-		// wrapper too.
-		seqRes, err := cclique.Run[O](newProto(), g, coins)
+		// Outputs and bit accounting must match a one-worker run with
+		// the default shard size too.
+		seqRes, err := runSequential[O](newProto(), g, coins)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,9 +123,9 @@ func goldenCase[O any](t *testing.T, name string, newProto func() engine.Protoco
 		if fmt.Sprintf("%v", engRes.Output) != fmt.Sprintf("%v", seqRes.Output) {
 			t.Errorf("%s workers=%d: outputs differ", name, workers)
 		}
-		if engRes.Stats.MaxMessageBits != seqRes.MaxMessageBits || int(engRes.Stats.TotalBits) != seqRes.TotalBits {
+		if engRes.Stats.MaxMessageBits != seqRes.Stats.MaxMessageBits || engRes.Stats.TotalBits != seqRes.Stats.TotalBits {
 			t.Errorf("%s workers=%d: bit accounting differs: (%d,%d) vs (%d,%d)", name, workers,
-				engRes.Stats.MaxMessageBits, engRes.Stats.TotalBits, seqRes.MaxMessageBits, seqRes.TotalBits)
+				engRes.Stats.MaxMessageBits, engRes.Stats.TotalBits, seqRes.Stats.MaxMessageBits, seqRes.Stats.TotalBits)
 		}
 	}
 }
@@ -134,7 +134,7 @@ func TestGoldenDeterminismAGMOneRound(t *testing.T) {
 	g := gen.Gnp(60, 0.15, rng.NewSource(11))
 	coins := rng.NewPublicCoins(12)
 	goldenCase[[]graph.Edge](t, "agm-spanning-forest", func() engine.Protocol[[]graph.Edge] {
-		return &cclique.OneRound[[]graph.Edge]{P: agm.NewSpanningForest(agm.Config{})}
+		return protocol.OneRound[[]graph.Edge](agm.NewSpanningForest(agm.Config{}))
 	}, g, coins)
 }
 
@@ -267,7 +267,7 @@ func TestRunBatchOrderAndIsolation(t *testing.T) {
 
 	want := make([][]graph.Edge, len(jobs))
 	for i := range jobs {
-		res, err := cclique.Run[[]graph.Edge](matchproto.NewTwoRound(), graphs[i], coins.DeriveIndex(i))
+		res, err := runSequential[[]graph.Edge](matchproto.NewTwoRound(), graphs[i], coins.DeriveIndex(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,21 +323,21 @@ func TestRunBatchIsolatesPerJobErrors(t *testing.T) {
 	}
 }
 
-func TestCcliqueRunMatchesEngineRun(t *testing.T) {
+func TestSequentialRunMatchesParallelRun(t *testing.T) {
 	g := gen.Gnp(40, 0.25, rng.NewSource(5))
 	coins := rng.NewPublicCoins(6)
-	seq, err := cclique.Run[[]graph.Edge](matchproto.NewTwoRound(), g, coins)
+	seq, err := runSequential[[]graph.Edge](matchproto.NewTwoRound(), g, coins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := engine.Run[[]graph.Edge](context.Background(), &engine.Engine{Workers: 4}, matchproto.NewTwoRound(), g, coins)
+	par, err := engine.Run[[]graph.Edge](context.Background(), &engine.Engine{Workers: 4}, matchproto.NewTwoRound(), g, coins)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprintf("%v", seq.Output) != fmt.Sprintf("%v", eng.Output) {
-		t.Error("cclique.Run and engine.Run outputs differ")
+	if fmt.Sprintf("%v", seq.Output) != fmt.Sprintf("%v", par.Output) {
+		t.Error("one-worker and four-worker outputs differ")
 	}
-	if seq.MaxMessageBits != eng.Stats.MaxMessageBits || seq.TotalBits != int(eng.Stats.TotalBits) {
-		t.Error("cclique.Run and engine.Run bit accounting differ")
+	if seq.Stats.MaxMessageBits != par.Stats.MaxMessageBits || seq.Stats.TotalBits != par.Stats.TotalBits {
+		t.Error("one-worker and four-worker bit accounting differ")
 	}
 }

@@ -11,12 +11,12 @@ import (
 	"testing"
 
 	"repro/internal/agm"
-	"repro/internal/cclique"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matchproto"
 	"repro/internal/misproto"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
@@ -55,7 +55,7 @@ func engineFixtureCases() []fixtureCase {
 			name: "agm-forest",
 			n:    agmGraph.N(),
 			run: func(t *testing.T, workers int) *engine.Transcript {
-				p := &cclique.OneRound[[]graph.Edge]{P: agm.NewSpanningForest(agm.Config{})}
+				p := protocol.OneRound[[]graph.Edge](agm.NewSpanningForest(agm.Config{}))
 				return exec(t, p, agmGraph, rng.NewPublicCoins(12), workers)
 			},
 		},
@@ -63,7 +63,7 @@ func engineFixtureCases() []fixtureCase {
 			name: "agm-forest-backup",
 			n:    agmBackupGraph.N(),
 			run: func(t *testing.T, workers int) *engine.Transcript {
-				p := &cclique.OneRound[[]graph.Edge]{P: agm.NewSpanningForest(agm.Config{BackupReps: 2})}
+				p := protocol.OneRound[[]graph.Edge](agm.NewSpanningForest(agm.Config{BackupReps: 2}))
 				return exec(t, p, agmBackupGraph, rng.NewPublicCoins(22), workers)
 			},
 		},
@@ -71,7 +71,7 @@ func engineFixtureCases() []fixtureCase {
 			name: "agm-skeleton",
 			n:    agmBackupGraph.N(),
 			run: func(t *testing.T, workers int) *engine.Transcript {
-				p := &cclique.OneRound[[]graph.Edge]{P: agm.NewSkeleton(2, agm.Config{})}
+				p := protocol.OneRound[[]graph.Edge](agm.NewSkeleton(2, agm.Config{}))
 				return exec(t, p, agmBackupGraph, rng.NewPublicCoins(23), workers)
 			},
 		},

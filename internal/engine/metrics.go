@@ -149,7 +149,8 @@ type RunStats struct {
 	// CompletedRounds counts rounds actually sealed (< Rounds after an
 	// error or cancellation).
 	CompletedRounds int
-	// Workers and ShardSize are the effective scheduling parameters.
+	// Workers and ShardSize are the effective scheduling parameters. A
+	// round runs min(Workers, Shards) worker goroutines.
 	Workers   int
 	ShardSize int
 	// Shards is the number of vertex shards per round.

@@ -6,12 +6,12 @@ import (
 	"testing/quick"
 
 	"repro/internal/agm"
-	"repro/internal/cclique"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matchproto"
 	"repro/internal/misproto"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
@@ -75,7 +75,7 @@ func TestQuickRoundBitsInvariants(t *testing.T) {
 		{"mm-tworound", true, func() engine.Broadcaster { return matchproto.NewTwoRound() }},
 		{"mis-tworound", true, func() engine.Broadcaster { return misproto.NewTwoRound() }},
 		{"agm-forest", false, func() engine.Broadcaster {
-			return &cclique.OneRound[[]graph.Edge]{P: agm.NewSpanningForest(agm.Config{})}
+			return protocol.OneRound[[]graph.Edge](agm.NewSpanningForest(agm.Config{}))
 		}},
 	}
 	prop := func(seed uint64, nRaw uint8, pRaw uint16, workersRaw uint8) bool {

@@ -17,17 +17,17 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/cclique"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
 // oneRoundJob wraps a one-round sketching protocol as an engine batch
 // job via the congested-clique embedding.
 func oneRoundJob[O any](label string, p core.Protocol[O], g *graph.Graph, coins *rng.PublicCoins) engine.Job[O] {
-	return engine.Job[O]{Label: label, Protocol: &cclique.OneRound[O]{P: p}, Graph: g, Coins: coins}
+	return engine.Job[O]{Label: label, Protocol: protocol.OneRound[O](p), Graph: g, Coins: coins}
 }
 
 // runOneRoundBatch executes one-round jobs over the shared engine pool.

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"repro/internal/agm"
-	"repro/internal/cclique"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faults"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matchproto"
 	"repro/internal/misproto"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
@@ -123,7 +123,7 @@ func E20ResilienceSweep(scale Scale, seed uint64) ([]*Table, error) {
 		{"agm-forest", func(plan faults.Plan, label string) resilienceCell {
 			return resilienceTrials(
 				func() engine.Protocol[[]graph.Edge] {
-					return &cclique.OneRound[[]graph.Edge]{P: agm.NewSpanningForest(agm.Config{})}
+					return protocol.OneRound[[]graph.Edge](agm.NewSpanningForest(agm.Config{}))
 				},
 				gnp("agm/"+label),
 				func(g *graph.Graph, out []graph.Edge) bool { return graph.IsSpanningForest(g, out) },
@@ -132,7 +132,7 @@ func E20ResilienceSweep(scale Scale, seed uint64) ([]*Table, error) {
 		{"agm-forest+backup", func(plan faults.Plan, label string) resilienceCell {
 			return resilienceTrials(
 				func() engine.Protocol[[]graph.Edge] {
-					return &cclique.OneRound[[]graph.Edge]{P: agm.NewSpanningForest(agm.Config{BackupReps: 2})}
+					return protocol.OneRound[[]graph.Edge](agm.NewSpanningForest(agm.Config{BackupReps: 2}))
 				},
 				gnp("agmb/"+label),
 				func(g *graph.Graph, out []graph.Edge) bool { return graph.IsSpanningForest(g, out) },

@@ -14,12 +14,12 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cclique"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matchproto"
 	"repro/internal/misproto"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
@@ -64,14 +64,14 @@ func E40RoundsVsCommunication(scale Scale, seed uint64) ([]*Table, error) {
 			{
 				name: fmt.Sprintf("mm-1round-b%d", sqrtBudget), rounds: 1, derive: "e40-sqrt",
 				build: func() engine.Protocol[[]graph.Edge] {
-					return &cclique.OneRound[[]graph.Edge]{P: &matchproto.EdgeSample{EdgesPerVertex: sqrtBudget}}
+					return protocol.OneRound[[]graph.Edge](&matchproto.EdgeSample{EdgesPerVertex: sqrtBudget})
 				},
 				verify: func(out []graph.Edge) bool { return graph.IsMaximalMatching(g, out) },
 			},
 			{
 				name: "mm-1round-full", rounds: 1, derive: "e40-full",
 				build: func() engine.Protocol[[]graph.Edge] {
-					return &cclique.OneRound[[]graph.Edge]{P: &matchproto.EdgeSample{EdgesPerVertex: n}}
+					return protocol.OneRound[[]graph.Edge](&matchproto.EdgeSample{EdgesPerVertex: n})
 				},
 				verify: func(out []graph.Edge) bool { return graph.IsMaximalMatching(g, out) },
 			},

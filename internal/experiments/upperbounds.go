@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/agm"
-	"repro/internal/cclique"
 	"repro/internal/coloring"
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matchproto"
 	"repro/internal/misproto"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
@@ -342,7 +342,7 @@ func E12BCCEquivalence(scale Scale, seed uint64) ([]*Table, error) {
 			graphs[trial] = gen.Gnp(40, 0.2, src)
 			jobs[trial] = engine.Job[[]graph.Edge]{
 				Label:    fmt.Sprintf("%s/t%d", pc.name, trial),
-				Protocol: &cclique.OneRound[[]graph.Edge]{P: pc.p},
+				Protocol: protocol.OneRound[[]graph.Edge](pc.p),
 				Graph:    graphs[trial],
 				Coins:    coins.Derive(pc.name).DeriveIndex(trial),
 			}

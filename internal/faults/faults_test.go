@@ -8,13 +8,13 @@ import (
 
 	"repro/internal/agm"
 	"repro/internal/bitio"
-	"repro/internal/cclique"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matchproto"
 	"repro/internal/misproto"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
@@ -138,7 +138,7 @@ func goldenFaulted[O any](t *testing.T, newProto func() engine.Protocol[O], g *g
 func TestGoldenFaultedAGMForest(t *testing.T) {
 	g := gen.Gnp(48, 0.2, rng.NewSource(7))
 	goldenFaulted(t, func() engine.Protocol[[]graph.Edge] {
-		return &cclique.OneRound[[]graph.Edge]{P: agm.NewSpanningForest(agm.Config{BackupReps: 2})}
+		return protocol.OneRound[[]graph.Edge](agm.NewSpanningForest(agm.Config{BackupReps: 2}))
 	}, g, testPlan)
 }
 

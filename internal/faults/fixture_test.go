@@ -11,12 +11,12 @@ import (
 	"testing"
 
 	"repro/internal/agm"
-	"repro/internal/cclique"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/matchproto"
 	"repro/internal/misproto"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 )
 
@@ -50,7 +50,7 @@ func TestGoldenFaultedFixtureTranscripts(t *testing.T) {
 			name: "faulted-agm-forest-backup",
 			n:    g.N(),
 			newProto: func() engine.Broadcaster {
-				return &cclique.OneRound[[]graph.Edge]{P: agm.NewSpanningForest(agm.Config{BackupReps: 2})}
+				return protocol.OneRound[[]graph.Edge](agm.NewSpanningForest(agm.Config{BackupReps: 2}))
 			},
 		},
 		{

@@ -11,23 +11,11 @@ import (
 	"repro/internal/rng"
 )
 
-// ResilientProtocol is a multi-round engine.Protocol whose referee can
-// decode a damaged transcript with graceful degradation. It is the
-// transcript-level analogue of core.ResilientProtocol; cclique.OneRound
-// lifts the latter into this interface automatically.
-type ResilientProtocol[O any] interface {
-	engine.Protocol[O]
-	// DecodeResilient is Decode over a possibly-damaged transcript. It
-	// must not report core.ResilienceOK unless every message of every
-	// round parsed cleanly.
-	DecodeResilient(n int, transcript *engine.Transcript, coins *rng.PublicCoins) (O, core.Resilience, error)
-}
-
 // Run executes p on g under the plan's faults: the engine's sharded
 // broadcast phase runs with an Injector wrapped around p, then the referee
-// decodes — through DecodeResilient when p implements ResilientProtocol[O],
-// plain Decode otherwise. The returned stats carry the re-derived fault
-// record and the folded Resilience verdict.
+// decodes — through DecodeResilient when p implements
+// engine.ResilientProtocol[O], plain Decode otherwise. The returned stats
+// carry the re-derived fault record and the folded Resilience verdict.
 //
 // Verdict folding applies two independent layers:
 //
@@ -77,7 +65,7 @@ func RunWithTranscript[O any](ctx context.Context, e *engine.Engine, p engine.Pr
 	decodeStart := time.Now()
 	var out O
 	verdict := core.ResilienceOK
-	if rp, ok := any(p).(ResilientProtocol[O]); ok {
+	if rp, ok := p.(engine.ResilientProtocol[O]); ok {
 		out, verdict, err = rp.DecodeResilient(g.N(), transcript, coins)
 	} else {
 		out, err = p.Decode(g.N(), transcript, coins)

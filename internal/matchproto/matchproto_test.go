@@ -1,10 +1,11 @@
 package matchproto
 
 import (
+	"context"
 	"testing"
 
-	"repro/internal/cclique"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/harddist"
@@ -221,7 +222,7 @@ func TestTwoRoundMaximalOnRandomGraphs(t *testing.T) {
 	const trials = 15
 	for i := 0; i < trials; i++ {
 		g := gen.Gnp(80, 0.15, src)
-		res, err := cclique.Run[[]graph.Edge](p, g, coins.DeriveIndex(i))
+		res, err := engine.Run[[]graph.Edge](context.Background(), &engine.Engine{Workers: 1}, p, g, coins.DeriveIndex(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,17 +237,17 @@ func TestTwoRoundMaximalOnRandomGraphs(t *testing.T) {
 
 func TestTwoRoundMessageSizeSublinear(t *testing.T) {
 	g := gen.Gnp(400, 0.3, rng.NewSource(18))
-	res, err := cclique.Run[[]graph.Edge](NewTwoRound(), g, rng.NewPublicCoins(19))
+	res, err := engine.Run[[]graph.Edge](context.Background(), &engine.Engine{Workers: 1}, NewTwoRound(), g, rng.NewPublicCoins(19))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Max degree ~120, full neighborhood would be ~120·9 > 1000 bits;
 	// two-round must stay well below the n-bit trivial sketch.
-	if res.MaxMessageBits >= g.N() {
-		t.Errorf("two-round message %d bits >= n = %d", res.MaxMessageBits, g.N())
+	if res.Stats.MaxMessageBits >= g.N() {
+		t.Errorf("two-round message %d bits >= n = %d", res.Stats.MaxMessageBits, g.N())
 	}
-	if len(res.RoundMaxBits) != 2 {
-		t.Fatalf("expected 2 rounds, got %d", len(res.RoundMaxBits))
+	if len(res.Stats.RoundBits) != 2 {
+		t.Fatalf("expected 2 rounds, got %d", len(res.Stats.RoundBits))
 	}
 }
 
@@ -255,7 +256,7 @@ func TestTwoRoundAlwaysOutputsMatching(t *testing.T) {
 	coins := rng.NewPublicCoins(21)
 	for i := 0; i < 10; i++ {
 		g := gen.Gnp(50, 0.4, src)
-		res, err := cclique.Run[[]graph.Edge](NewTwoRound(), g, coins.DeriveIndex(i))
+		res, err := engine.Run[[]graph.Edge](context.Background(), &engine.Engine{Workers: 1}, NewTwoRound(), g, coins.DeriveIndex(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +283,7 @@ func BenchmarkTwoRoundN200(b *testing.B) {
 	coins := rng.NewPublicCoins(4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cclique.Run[[]graph.Edge](NewTwoRound(), g, coins); err != nil {
+		if _, err := engine.Run[[]graph.Edge](context.Background(), &engine.Engine{Workers: 1}, NewTwoRound(), g, coins); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,11 +1,12 @@
 package matchproto
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/cclique"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -64,7 +65,7 @@ func TestTwoRoundAlwaysMatchingQuick(t *testing.T) {
 		src := rng.NewSource(seed)
 		n := 4 + int(nSeed%40)
 		g := gen.Gnp(n, 0.3, src)
-		res, err := cclique.Run[[]graph.Edge](NewTwoRound(), g, rng.NewPublicCoins(seed^0x9))
+		res, err := engine.Run[[]graph.Edge](context.Background(), &engine.Engine{Workers: 1}, NewTwoRound(), g, rng.NewPublicCoins(seed^0x9))
 		if err != nil {
 			return false
 		}

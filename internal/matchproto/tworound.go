@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/bitio"
-	"repro/internal/cclique"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -40,17 +39,17 @@ type TwoRound struct {
 }
 
 var (
-	_ cclique.Protocol[[]graph.Edge] = (*TwoRound)(nil)
-	_ engine.Adaptive                = (*TwoRound)(nil)
+	_ engine.ResilientProtocol[[]graph.Edge] = (*TwoRound)(nil)
+	_ engine.Adaptive                        = (*TwoRound)(nil)
 )
 
 // NewTwoRound returns the protocol with default budgets.
 func NewTwoRound() *TwoRound { return &TwoRound{} }
 
-// Name implements cclique.Protocol.
+// Name implements engine.Protocol.
 func (p *TwoRound) Name() string { return "two-round-filtering-mm" }
 
-// Rounds implements cclique.Protocol.
+// Rounds implements engine.Protocol.
 func (p *TwoRound) Rounds() int { return 2 }
 
 func (p *TwoRound) samples(n int) int {
@@ -73,7 +72,7 @@ func (p *TwoRound) capEdges(n int) int {
 // corrupted sketches) never aborts the run: damaged sketches contribute
 // what they can and are counted in r1bad, which DecodeResilient folds
 // into its verdict. On clean transcripts tolerance changes nothing.
-func (p *TwoRound) round1Matching(n int, transcript *cclique.Transcript, coins *rng.PublicCoins) ([]graph.Edge, int) {
+func (p *TwoRound) round1Matching(n int, transcript *engine.Transcript, coins *rng.PublicCoins) ([]graph.Edge, int) {
 	sketches := make([]*bitio.Reader, n)
 	for v := 0; v < n; v++ {
 		sketches[v] = transcript.Message(0, v)
@@ -90,7 +89,7 @@ func (p *TwoRound) round1Matching(n int, transcript *cclique.Transcript, coins *
 // Feedback implements engine.Adaptive: after round 1 seals, the referee
 // broadcasts M₁ as an edge list (count, then both endpoints at id width,
 // in greedy order). After the final round the referee is silent.
-func (p *TwoRound) Feedback(round int, transcript *cclique.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
+func (p *TwoRound) Feedback(round int, transcript *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
 	if round != 0 {
 		return nil, nil
 	}
@@ -160,10 +159,10 @@ func readMatchingFeedback(n int, r *bitio.Reader) (edges []graph.Edge, matched [
 	return edges, matched, ok
 }
 
-// Broadcast implements cclique.Protocol. Round-2 players read M₁ from
+// Broadcast implements engine.Protocol. Round-2 players read M₁ from
 // the referee's sealed feedback (Transcript.Feedback) rather than
 // re-deriving it from the full round-1 transcript.
-func (p *TwoRound) Broadcast(round int, view core.VertexView, transcript *cclique.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
+func (p *TwoRound) Broadcast(round int, view core.VertexView, transcript *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
 	switch round {
 	case 0:
 		return sampleSketch(view, p.samples(view.N), coins), nil
@@ -199,11 +198,11 @@ func (p *TwoRound) Broadcast(round int, view core.VertexView, transcript *ccliqu
 	}
 }
 
-// Decode implements cclique.Protocol. The referee interprets round-2
+// Decode implements engine.Protocol. The referee interprets round-2
 // reports against the M₁ it broadcast as feedback — the sealed feedback
 // is what the players actually acted on, so decoding against it keeps
 // referee and players consistent even over a damaged feedback channel.
-func (p *TwoRound) Decode(n int, transcript *cclique.Transcript, coins *rng.PublicCoins) ([]graph.Edge, error) {
+func (p *TwoRound) Decode(n int, transcript *engine.Transcript, coins *rng.PublicCoins) ([]graph.Edge, error) {
 	fed, matched, _ := readMatchingFeedback(n, transcript.Feedback(0))
 	m1 := graph.GreedyMaximalMatchingEdgeOrder(n, fed)
 	idWidth := bitio.UintWidth(n)
@@ -235,7 +234,7 @@ func (p *TwoRound) Decode(n int, transcript *cclique.Transcript, coins *rng.Publ
 }
 
 // DecodeResilient is Decode with graceful degradation over damaged
-// transcripts, satisfying faults.ResilientProtocol. The referee augments
+// transcripts, satisfying engine.ResilientProtocol. The referee augments
 // M₁ with whatever round-2 material parses, and classifies the run:
 //
 //   - ok: every message of both rounds parsed cleanly, the feedback
@@ -252,7 +251,7 @@ func (p *TwoRound) Decode(n int, transcript *cclique.Transcript, coins *rng.Publ
 // In-range bit flips that forge plausible neighbor IDs are undetectable
 // from message contents alone; faults.Run's channel-record folding
 // covers that case, so a faulted run is never reported ok end to end.
-func (p *TwoRound) DecodeResilient(n int, transcript *cclique.Transcript, coins *rng.PublicCoins) ([]graph.Edge, core.Resilience, error) {
+func (p *TwoRound) DecodeResilient(n int, transcript *engine.Transcript, coins *rng.PublicCoins) ([]graph.Edge, core.Resilience, error) {
 	// Decode against the sealed feedback (what the players saw), but
 	// recompute the true M₁ from round 1 to both count damaged sketches
 	// and detect a perturbed downlink: the referee knows exactly what it

@@ -1,11 +1,12 @@
 package misproto
 
 import (
+	"context"
 	"math"
 	"testing"
 
-	"repro/internal/cclique"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/rng"
@@ -73,7 +74,7 @@ func TestTwoRoundCorrectOnRandomGraphs(t *testing.T) {
 	const trials = 15
 	for i := 0; i < trials; i++ {
 		g := gen.Gnp(80, 0.15, src)
-		res, err := cclique.Run[[]int](p, g, coins.DeriveIndex(i))
+		res, err := engine.Run[[]int](context.Background(), &engine.Engine{Workers: 1}, p, g, coins.DeriveIndex(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +96,7 @@ func TestTwoRoundOnStructuredGraphs(t *testing.T) {
 		"complete": gen.Complete(25),
 		"empty":    graph.NewBuilder(10).Build(),
 	} {
-		res, err := cclique.Run[[]int](NewTwoRound(), g, coins.Derive(name))
+		res, err := engine.Run[[]int](context.Background(), &engine.Engine{Workers: 1}, NewTwoRound(), g, coins.Derive(name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -111,21 +112,21 @@ func TestTwoRoundMessageSizeEnvelope(t *testing.T) {
 	// lies beyond unit-test scale; experiment E11 charts the scaling.)
 	n := 400
 	g := gen.Gnp(n, 0.3, rng.NewSource(8))
-	res, err := cclique.Run[[]int](NewTwoRound(), g, rng.NewPublicCoins(9))
+	res, err := engine.Run[[]int](context.Background(), &engine.Engine{Workers: 1}, NewTwoRound(), g, rng.NewPublicCoins(9))
 	if err != nil {
 		t.Fatal(err)
 	}
 	logN := math.Log2(float64(n) + 1)
 	envelope := int(6 * math.Sqrt(float64(n)) * logN * logN)
-	if res.MaxMessageBits > envelope {
-		t.Errorf("two-round MIS message %d bits exceeds %d = O(√n·log²n)", res.MaxMessageBits, envelope)
+	if res.Stats.MaxMessageBits > envelope {
+		t.Errorf("two-round MIS message %d bits exceeds %d = O(√n·log²n)", res.Stats.MaxMessageBits, envelope)
 	}
 	// On the complete graph, Δ = n-1 while messages stay within the
 	// envelope: dominated vertices send short dominator lists and only
 	// the few defectors ship capped residual lists.
 	kn := 300
 	k := gen.Complete(kn)
-	kres, err := cclique.Run[[]int](NewTwoRound(), k, rng.NewPublicCoins(10))
+	kres, err := engine.Run[[]int](context.Background(), &engine.Engine{Workers: 1}, NewTwoRound(), k, rng.NewPublicCoins(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,16 +135,16 @@ func TestTwoRoundMessageSizeEnvelope(t *testing.T) {
 	}
 	logK := math.Log2(float64(kn) + 1)
 	kEnvelope := int(6 * math.Sqrt(float64(kn)) * logK * logK)
-	if kres.RoundMaxBits[1] > kEnvelope {
-		t.Errorf("round-2 message on K300 is %d bits, exceeds envelope %d", kres.RoundMaxBits[1], kEnvelope)
+	if got := kres.Stats.RoundBits[1].PlayerMaxBits; got > kEnvelope {
+		t.Errorf("round-2 message on K300 is %d bits, exceeds envelope %d", got, kEnvelope)
 	}
 }
 
 func TestTwoRoundDeterministicGivenCoins(t *testing.T) {
 	g := gen.Gnp(40, 0.2, rng.NewSource(10))
 	coins := rng.NewPublicCoins(11)
-	a, err1 := cclique.Run[[]int](NewTwoRound(), g, coins)
-	b, err2 := cclique.Run[[]int](NewTwoRound(), g, coins)
+	a, err1 := engine.Run[[]int](context.Background(), &engine.Engine{Workers: 1}, NewTwoRound(), g, coins)
+	b, err2 := engine.Run[[]int](context.Background(), &engine.Engine{Workers: 1}, NewTwoRound(), g, coins)
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -162,7 +163,7 @@ func BenchmarkTwoRoundMISN200(b *testing.B) {
 	coins := rng.NewPublicCoins(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cclique.Run[[]int](NewTwoRound(), g, coins); err != nil {
+		if _, err := engine.Run[[]int](context.Background(), &engine.Engine{Workers: 1}, NewTwoRound(), g, coins); err != nil {
 			b.Fatal(err)
 		}
 	}

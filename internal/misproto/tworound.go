@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/bitio"
-	"repro/internal/cclique"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -49,17 +48,17 @@ type TwoRound struct {
 }
 
 var (
-	_ cclique.Protocol[[]int] = (*TwoRound)(nil)
-	_ engine.Adaptive         = (*TwoRound)(nil)
+	_ engine.ResilientProtocol[[]int] = (*TwoRound)(nil)
+	_ engine.Adaptive                 = (*TwoRound)(nil)
 )
 
 // NewTwoRound returns the protocol with default budgets.
 func NewTwoRound() *TwoRound { return &TwoRound{} }
 
-// Name implements cclique.Protocol.
+// Name implements engine.Protocol.
 func (p *TwoRound) Name() string { return "two-round-mis" }
 
-// Rounds implements cclique.Protocol.
+// Rounds implements engine.Protocol.
 func (p *TwoRound) Rounds() int { return 2 }
 
 func (p *TwoRound) samples(n int) int {
@@ -94,7 +93,7 @@ func sharedRank(n int, coins *rng.PublicCoins) (rank, pos []int) {
 // contribute what they can and are counted in r1bad, which
 // DecodeResilient folds into its verdict. Clean transcripts are parsed
 // identically to the strict reader.
-func (p *TwoRound) candidateSet(n int, transcript *cclique.Transcript, rank []int) (s1 []int, r1bad int) {
+func (p *TwoRound) candidateSet(n int, transcript *engine.Transcript, rank []int) (s1 []int, r1bad int) {
 	sketches := make([]*bitio.Reader, n)
 	for v := 0; v < n; v++ {
 		sketches[v] = transcript.Message(0, v)
@@ -106,7 +105,7 @@ func (p *TwoRound) candidateSet(n int, transcript *cclique.Transcript, rank []in
 // Feedback implements engine.Adaptive: after round 1 seals, the referee
 // broadcasts S₁ as a vertex list (count, then ids at id width, in greedy
 // rank order). After the final round the referee is silent.
-func (p *TwoRound) Feedback(round int, transcript *cclique.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
+func (p *TwoRound) Feedback(round int, transcript *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
 	if round != 0 {
 		return nil, nil
 	}
@@ -157,11 +156,11 @@ func readCandidateFeedback(n int, r *bitio.Reader) (s1 []int, inS1 []bool, ok bo
 	return s1, inS1, ok
 }
 
-// Broadcast implements cclique.Protocol. Round-2 players read S₁ from
+// Broadcast implements engine.Protocol. Round-2 players read S₁ from
 // the referee's sealed feedback (Transcript.Feedback) and re-derive the
 // public rank order locally, rather than re-deriving S₁ from the full
 // round-1 transcript.
-func (p *TwoRound) Broadcast(round int, view core.VertexView, transcript *cclique.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
+func (p *TwoRound) Broadcast(round int, view core.VertexView, transcript *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
 	switch round {
 	case 0:
 		return sampleSketch(view, p.samples(view.N), coins), nil
@@ -220,11 +219,11 @@ func (p *TwoRound) Broadcast(round int, view core.VertexView, transcript *ccliqu
 	}
 }
 
-// Decode implements cclique.Protocol. The referee interprets round-2
+// Decode implements engine.Protocol. The referee interprets round-2
 // reports against the S₁ it broadcast as feedback — the sealed feedback
 // is what the players actually acted on, so decoding against it keeps
 // referee and players consistent even over a damaged feedback channel.
-func (p *TwoRound) Decode(n int, transcript *cclique.Transcript, coins *rng.PublicCoins) ([]int, error) {
+func (p *TwoRound) Decode(n int, transcript *engine.Transcript, coins *rng.PublicCoins) ([]int, error) {
 	rank, _ := sharedRank(n, coins)
 	s1, inS1, _ := readCandidateFeedback(n, transcript.Feedback(0))
 	idWidth := bitio.UintWidth(n)
@@ -340,7 +339,7 @@ func assembleMIS(n int, rank, s1 []int, inS1 []bool, dominators, residual [][]in
 }
 
 // DecodeResilient is Decode with graceful degradation over damaged
-// transcripts, satisfying faults.ResilientProtocol. Damaged round-1
+// transcripts, satisfying engine.ResilientProtocol. Damaged round-1
 // sketches shrink the sampled graph (possibly inflating S₁); damaged
 // round-2 messages are skipped, costing their conflict reports and
 // domination witnesses; a sealed feedback that diverges from the
@@ -357,7 +356,7 @@ func assembleMIS(n int, rank, s1 []int, inS1 []bool, dominators, residual [][]in
 //
 // In-range bit flips forging plausible IDs are undetectable from message
 // contents alone; faults.Run's channel-record folding covers that case.
-func (p *TwoRound) DecodeResilient(n int, transcript *cclique.Transcript, coins *rng.PublicCoins) ([]int, core.Resilience, error) {
+func (p *TwoRound) DecodeResilient(n int, transcript *engine.Transcript, coins *rng.PublicCoins) ([]int, core.Resilience, error) {
 	rank, _ := sharedRank(n, coins)
 	s1, inS1, fbOK := readCandidateFeedback(n, transcript.Feedback(0))
 	trueS1, r1bad := p.candidateSet(n, transcript, rank)

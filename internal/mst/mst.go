@@ -17,13 +17,14 @@
 package mst
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/agm"
 	"repro/internal/bitio"
-	"repro/internal/cclique"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/protocol"
 	"repro/internal/rng"
@@ -210,11 +211,11 @@ func (p *Protocol) Verify(_ *graph.Graph, out int) protocol.Outcome {
 func Run(wg *Weighted, cfg agm.Config, coins *rng.PublicCoins) (Result, error) {
 	var res Result
 	res.Exact = wg.ExactMSTWeight()
-	r, err := cclique.Run[int](&cclique.OneRound[int]{P: NewProtocol(wg, cfg)}, wg.G, coins)
+	r, err := engine.Run(context.Background(), &engine.Engine{Workers: 1}, protocol.OneRound[int](NewProtocol(wg, cfg)), wg.G, coins)
 	if err != nil {
 		return res, err
 	}
 	res.Estimate = r.Output
-	res.MaxSketchBits = r.MaxMessageBits
+	res.MaxSketchBits = r.Stats.MaxMessageBits
 	return res, nil
 }

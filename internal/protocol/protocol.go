@@ -7,14 +7,21 @@
 // the Ω(n^(1/2−ε)) lower bound for maximal matching and MIS. One model,
 // many protocols means one contract, many implementations.
 //
-// The contract is Sketcher: a one-round core protocol plus a Verify
-// method folding its typed output into the uniform Outcome the wire
-// carries. Lift adapts a Sketcher to engine.Protocol[Outcome] (via the
-// congested-clique one-round embedding), so every protocol inherits the
-// engine's worker sharding, bit accounting, transcript sealing, fault
-// injection, and the refereed remote path for free. Multi-round
-// protocols (matchproto, misproto) skip Sketcher and adapt directly via
-// Adapt.
+// The contract is engine.Protocol with its optional extensions. A
+// one-round core.Protocol reaches it through one adapter, which embeds
+// the sketching model in the broadcast congested clique (the paper's
+// §2.1 equivalence): OneRound keeps the protocol's output, and Lift folds
+// it into the uniform Outcome the wire carries. That adapter is the only
+// place the one-round capabilities — core.BlockSketcher's columnar path
+// and core.ResilientProtocol's damage-aware decode — are detected and
+// forwarded. Sketcher is a one-round protocol plus a Verify method, and
+// RegisterSketcher lifts it with that Verify. The multi-round protocols
+// (matchproto, misproto, dynstream) are engine protocols already, with
+// referee feedback and a resilient decode; Adapt folds their output into
+// an Outcome, and its parameter type has the compiler check both
+// methods. Every registered protocol inherits the engine's worker
+// sharding, bit accounting, transcript sealing, fault injection, and the
+// refereed remote path for free.
 //
 // Protocols self-register from their own packages (init() + Register),
 // so the wire registry is the set of imported protocol packages rather
@@ -23,7 +30,6 @@ package protocol
 
 import (
 	"repro/internal/bitio"
-	"repro/internal/cclique"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
@@ -55,8 +61,8 @@ type Outcome struct {
 	Valid bool `json:"valid"`
 }
 
-// Sketcher is the uniform one-round protocol contract: the core
-// Sketch/Decode pair (one message per player from its local view, a
+// Sketcher is a one-round protocol that can judge its own output: the
+// core Sketch/Decode pair (one message per player from its local view, a
 // referee decoding all messages) plus a verifier folding the typed
 // output into the wire's Outcome, judged against the actual input graph
 // where a ground truth is computable.
@@ -67,48 +73,47 @@ type Sketcher[O any] interface {
 	Verify(g *graph.Graph, out O) Outcome
 }
 
-// adapted lifts a typed engine protocol to engine.Protocol[Outcome] so
-// that heterogeneous protocols (edge outputs, vertex sets, counts,
-// estimates) can share one executor, one batch, and one wire shape.
-type adapted[T any] struct {
-	inner   engine.Protocol[T]
-	outcome func(T) Outcome
+// oneRound embeds a one-round core protocol in the broadcast congested
+// clique: its single round is every player's sketch, and the referee
+// decodes round 0's messages in vertex order. out maps the protocol's
+// output: the identity for OneRound, an outcome summarizer for Lift.
+// oneRound has no Feedback method, so the engine leaves every feedback
+// slot empty.
+type oneRound[O, T any] struct {
+	p   core.Protocol[O]
+	out func(O) T
 }
 
-// resilientDecoder is faults.ResilientProtocol's extra method, declared
-// structurally so this package need not import faults (whose tests
-// exercise protocol packages that import this one). A test in
-// protocol_test asserts the interfaces stay in sync.
-type resilientDecoder[T any] interface {
-	DecodeResilient(n int, t *engine.Transcript, coins *rng.PublicCoins) (T, core.Resilience, error)
+// OneRound embeds a one-round sketching protocol in the broadcast
+// congested clique and keeps its output. The result is named p.Name()
+// plus "/bcc".
+func OneRound[O any](p core.Protocol[O]) engine.Protocol[O] {
+	return &oneRound[O, O]{p: p, out: func(out O) O { return out }}
 }
 
-// adaptiveFeedback is engine.Adaptive's extra method, declared
-// structurally (like resilientDecoder) so the check works against any
-// inner protocol type. A test in protocol_test asserts the interfaces
-// stay in sync.
-type adaptiveFeedback interface {
-	Feedback(round int, t *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error)
+// Lift is OneRound with the output folded into an Outcome by outcome,
+// the shape the registry and the wire carry.
+func Lift[O any](p core.Protocol[O], outcome func(O) Outcome) engine.Protocol[Outcome] {
+	return &oneRound[O, Outcome]{p: p, out: outcome}
 }
 
-func (a *adapted[T]) Name() string { return a.inner.Name() }
-func (a *adapted[T]) Rounds() int  { return a.inner.Rounds() }
+func (a *oneRound[O, T]) Name() string { return a.p.Name() + "/bcc" }
+func (a *oneRound[O, T]) Rounds() int  { return 1 }
 
-func (a *adapted[T]) Broadcast(round int, view core.VertexView, t *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
-	return a.inner.Broadcast(round, view, t, coins)
+func (a *oneRound[O, T]) Broadcast(_ int, view core.VertexView, _ *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
+	return a.p.Sketch(view, coins)
 }
 
-// BroadcastBlock forwards the inner protocol's columnar path when it has
-// one (cclique.OneRound always does) and otherwise falls back to
-// per-view Broadcast calls — byte-identical to the engine's own per-vertex
-// loop, so adapting a protocol never changes which bits a block
-// execution produces.
-func (a *adapted[T]) BroadcastBlock(round int, views []core.VertexView, t *engine.Transcript, coins *rng.PublicCoins, out []*bitio.Writer) (int, error) {
-	if bb, ok := a.inner.(engine.BlockBroadcaster); ok {
-		return bb.BroadcastBlock(round, views, t, coins, out)
+// BroadcastBlock implements engine.BlockBroadcaster. A core.BlockSketcher
+// sketches the whole block through its columnar path; any other protocol
+// falls back to per-view Sketch calls, byte-identical to the engine's
+// per-vertex loop.
+func (a *oneRound[O, T]) BroadcastBlock(_ int, views []core.VertexView, _ *engine.Transcript, coins *rng.PublicCoins, out []*bitio.Writer) (int, error) {
+	if bs, ok := a.p.(core.BlockSketcher); ok {
+		return bs.SketchBlock(views, coins, out)
 	}
 	for i, view := range views {
-		w, err := a.inner.Broadcast(round, view, t, coins)
+		w, err := a.p.Sketch(view, coins)
 		if err != nil {
 			return i, err
 		}
@@ -117,50 +122,81 @@ func (a *adapted[T]) BroadcastBlock(round int, views []core.VertexView, t *engin
 	return 0, nil
 }
 
-// Feedback forwards the inner protocol's referee feedback when it is
-// adaptive. For a non-adaptive inner protocol it returns a nil writer,
-// which the engine seals as an empty feedback slot — bit-identical (and
-// stats-identical) to not implementing engine.Adaptive at all, so the
-// unconditional forwarding method is digest-neutral for every wrapped
-// one-round protocol.
-func (a *adapted[T]) Feedback(round int, t *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
-	if ap, ok := a.inner.(adaptiveFeedback); ok {
-		return ap.Feedback(round, t, coins)
+// sketches returns fresh readers over round 0's n messages.
+func sketches(n int, t *engine.Transcript) []*bitio.Reader {
+	readers := make([]*bitio.Reader, n)
+	for v := range readers {
+		readers[v] = t.Message(0, v)
 	}
-	return nil, nil
+	return readers
+}
+
+func (a *oneRound[O, T]) Decode(n int, t *engine.Transcript, coins *rng.PublicCoins) (T, error) {
+	out, err := a.p.Decode(n, sketches(n, t), coins)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return a.out(out), nil
+}
+
+// DecodeResilient implements engine.ResilientProtocol. A
+// core.ResilientProtocol decodes the damaged sketches itself. Any other
+// protocol falls back to the strict Decode: a clean decode reports ok
+// (faults.Run's channel record still demotes it when faults were
+// injected), and a decode error reports failed.
+func (a *oneRound[O, T]) DecodeResilient(n int, t *engine.Transcript, coins *rng.PublicCoins) (T, core.Resilience, error) {
+	var zero T
+	if rp, ok := a.p.(core.ResilientProtocol[O]); ok {
+		out, verdict, err := rp.DecodeResilient(n, sketches(n, t), coins)
+		if err != nil {
+			return zero, verdict, err
+		}
+		return a.out(out), verdict, nil
+	}
+	out, err := a.p.Decode(n, sketches(n, t), coins)
+	if err != nil {
+		return zero, core.ResilienceFailed, err
+	}
+	return a.out(out), core.ResilienceOK, nil
+}
+
+// multiRound is what Adapt requires: an adaptive protocol with a
+// resilient decode. Every registered multi-round protocol is both.
+type multiRound[T any] interface {
+	engine.ResilientProtocol[T]
+	engine.Adaptive
+}
+
+// adapted folds a multi-round protocol's output into an Outcome. The
+// embedded protocol supplies Name, Rounds, Broadcast and Feedback; it has
+// no BroadcastBlock, so the engine runs its per-vertex loop.
+type adapted[T any] struct {
+	multiRound[T]
+	outcome func(T) Outcome
 }
 
 func (a *adapted[T]) Decode(n int, t *engine.Transcript, coins *rng.PublicCoins) (Outcome, error) {
-	out, err := a.inner.Decode(n, t, coins)
+	out, err := a.multiRound.Decode(n, t, coins)
 	if err != nil {
 		return Outcome{}, err
 	}
 	return a.outcome(out), nil
 }
 
-// DecodeResilient forwards to the inner protocol's resilient decode when
-// it has one, with the same strict-decode fallback semantics as
-// cclique.OneRound: a clean strict decode reports ok (faults.Run's
-// channel-record folding still demotes it when faults were injected).
 func (a *adapted[T]) DecodeResilient(n int, t *engine.Transcript, coins *rng.PublicCoins) (Outcome, core.Resilience, error) {
-	if rp, ok := a.inner.(resilientDecoder[T]); ok {
-		out, verdict, err := rp.DecodeResilient(n, t, coins)
-		if err != nil {
-			return Outcome{}, verdict, err
-		}
-		return a.outcome(out), verdict, nil
-	}
-	out, err := a.inner.Decode(n, t, coins)
+	out, verdict, err := a.multiRound.DecodeResilient(n, t, coins)
 	if err != nil {
-		return Outcome{}, core.ResilienceFailed, err
+		return Outcome{}, verdict, err
 	}
-	return a.outcome(out), core.ResilienceOK, nil
+	return a.outcome(out), verdict, nil
 }
 
-// Adapt lifts a multi-round engine protocol with an explicit outcome
-// summarizer. Prefer Lift for one-round Sketchers.
-func Adapt[T any](p engine.Protocol[T], outcome func(T) Outcome) engine.Protocol[Outcome] {
-	return &adapted[T]{inner: p, outcome: outcome}
+// Adapt lifts a multi-round protocol with an explicit outcome summarizer.
+// p must implement engine.Adaptive and engine.ResilientProtocol[T]; the
+// compiler checks both. Use Lift for one-round protocols.
+func Adapt[T any](p multiRound[T], outcome func(T) Outcome) engine.Protocol[Outcome] {
+	return &adapted[T]{multiRound: p, outcome: outcome}
 }
 
 // EdgesOutcome returns the outcome summarizer for edge-set outputs;
@@ -197,14 +233,4 @@ func CountOutcome(g *graph.Graph, verify func(*graph.Graph, int) bool) func(int)
 		}
 		return o
 	}
-}
-
-// Lift embeds a one-round Sketcher into the broadcast congested clique
-// (cclique.OneRound) and folds its output through its own Verify. The
-// result is a full engine protocol: sharded execution, sealed
-// transcripts, fault injection, and the wire all work unchanged.
-func Lift[O any](s Sketcher[O], g *graph.Graph) engine.Protocol[Outcome] {
-	return Adapt[O](&cclique.OneRound[O]{P: s}, func(out O) Outcome {
-		return s.Verify(g, out)
-	})
 }

@@ -43,10 +43,11 @@ func Register(name string, build Builder) {
 }
 
 // RegisterSketcher registers a one-round Sketcher under name, lifting it
-// through Lift at build time.
+// with its own Verify at build time.
 func RegisterSketcher[O any](name string, build func(g *graph.Graph) Sketcher[O]) {
 	Register(name, func(g *graph.Graph) engine.Protocol[Outcome] {
-		return Lift[O](build(g), g)
+		s := build(g)
+		return Lift[O](s, func(out O) Outcome { return s.Verify(g, out) })
 	})
 }
 

@@ -5,23 +5,37 @@ import (
 	"testing"
 
 	"repro/internal/bitio"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/rng"
 )
 
-// blockHidden is a registered protocol's method set minus BroadcastBlock.
-type blockHidden interface {
-	engine.Protocol[Outcome]
-	Feedback(round int, t *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error)
-	DecodeResilient(n int, t *engine.Transcript, coins *rng.PublicCoins) (Outcome, core.Resilience, error)
+// perVertex wraps a protocol so that only engine.ResilientProtocol's
+// methods are promoted: the engine (and the fault injector) see no
+// BroadcastBlock and sketch vertex by vertex, while the resilient decode
+// stays the protocol's own.
+type perVertex struct {
+	engine.ResilientProtocol[Outcome]
 }
 
-// perVertex wraps a protocol so that only blockHidden's methods are
-// promoted: the engine (and the fault injector) see no BroadcastBlock
-// and sketch vertex by vertex, while referee feedback and the resilient
-// decode stay the protocol's own.
-type perVertex struct{ blockHidden }
+// adaptivePerVertex is perVertex that also forwards the referee's
+// feedback, for adaptive protocols.
+type adaptivePerVertex struct {
+	perVertex
+	adaptive engine.Adaptive
+}
+
+func (p adaptivePerVertex) Feedback(round int, t *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
+	return p.adaptive.Feedback(round, t, coins)
+}
+
+// hideBlock returns p with its block form hidden and every other
+// capability it has kept.
+func hideBlock(p engine.ResilientProtocol[Outcome]) engine.Protocol[Outcome] {
+	if a, ok := p.(engine.Adaptive); ok {
+		return adaptivePerVertex{perVertex{p}, a}
+	}
+	return perVertex{p}
+}
 
 // TestBlockExecutionParity is the equivalence gate for columnar
 // execution: every smoke spec — all registered protocols, including the
@@ -44,11 +58,11 @@ func TestBlockExecutionParity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, ok := build(g).(blockHidden)
+			p, ok := build(g).(engine.ResilientProtocol[Outcome])
 			if !ok {
-				t.Fatalf("%s: protocol lacks Feedback or DecodeResilient", spec.Label)
+				t.Fatalf("%s: protocol lacks DecodeResilient", spec.Label)
 			}
-			scalar, err := execute(ctx, spec, g, perVertex{p})
+			scalar, err := execute(ctx, spec, g, hideBlock(p))
 			if err != nil {
 				t.Fatalf("workers=%d %s: per-vertex run: %v", workers, spec.Label, err)
 			}
