@@ -19,10 +19,11 @@ func NewOwnedWriter() *Writer { return &Writer{owned: true} }
 
 // NewOwnedWriterFrom returns an owned writer holding the nbit bits already
 // packed in buf (LSB-first, Writer's own layout), adopting buf instead of
-// copying it. It is the decode-side counterpart of Detach: a codec that
-// has copied a message into a fresh buffer seals it through the steal
-// path with no second copy. buf must be exactly ⌈nbit/8⌉ bytes with zero
-// padding bits, and the caller must not touch it afterwards.
+// copying it. It is the decode-side counterpart of Detach: a codec seals
+// a message that already sits in its input — a capacity-clipped
+// sub-slice of the frame — through the steal path with no copy at all.
+// buf must be exactly ⌈nbit/8⌉ bytes with zero padding bits, and the
+// caller must not touch it afterwards.
 func NewOwnedWriterFrom(buf []byte, nbit int) *Writer {
 	if nbit < 0 || len(buf) != (nbit+7)/8 {
 		panic(fmt.Sprintf("bitio: %d-byte buffer cannot hold exactly %d bits", len(buf), nbit))
@@ -39,7 +40,7 @@ func (w *Writer) Owned() bool { return w.owned }
 // Detach surrenders the writer's buffer: it returns the written bits
 // (packed into exactly ⌈nbit/8⌉ bytes) and the bit count, leaving the
 // writer empty and un-owned. Only the transcript's seal path calls this;
-// after Detach nothing aliases the returned buffer.
+// after Detach the writer no longer aliases the returned buffer.
 func (w *Writer) Detach() ([]byte, int) {
 	buf, nbit := w.Bytes(), w.nbit
 	w.buf, w.nbit, w.owned = nil, 0, false

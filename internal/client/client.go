@@ -12,6 +12,12 @@
 // for a protocol failing mid-run — are not retried: the engine is
 // deterministic, so resubmitting an identical spec can only fail
 // identically.
+//
+// A response body with a declared Content-Length — every binary response
+// the daemon and the coordinator send — is read into one buffer of
+// exactly that length (a shorter body is an error), and Run decodes the
+// report in place: the returned transcript adopts that buffer rather
+// than copying each message out of it.
 package client
 
 import (
@@ -176,9 +182,9 @@ func (c *Client) do(ctx context.Context, path string, body []byte) ([]byte, erro
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("refereed: read %s response: %w", path, err)
 	}
 	if resp.StatusCode/100 != 2 {
 		return nil, &StatusError{
@@ -190,8 +196,32 @@ func (c *Client) do(ctx context.Context, path string, body []byte) ([]byte, erro
 	return data, nil
 }
 
+// maxPrealloc bounds the buffer a declared Content-Length makes readBody
+// allocate before any byte arrives, so a peer declaring a terabyte cannot
+// make the client allocate one. A body declared longer than this (no
+// daemon response comes close) is read as it arrives instead.
+const maxPrealloc = 64 << 20
+
+// readBody reads a response body. A declared length up to maxPrealloc is
+// read into one buffer of exactly that length; a body of unknown length
+// (chunked JSON) or one declared longer than maxPrealloc grows as its
+// bytes arrive. Either way a body that ends short of its declared length
+// is an error (net/http's io.ErrUnexpectedEOF).
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxPrealloc {
+		return io.ReadAll(resp.Body)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, err
+	}
+	return data, nil
+}
+
 // Run executes one spec on the daemon and returns its full report,
-// transcript included.
+// transcript included. The transcript adopts the response body, which
+// nothing else holds.
 func (c *Client) Run(ctx context.Context, spec wire.RunSpec) (*wire.RunReport, error) {
 	data, err := c.post(ctx, "/v1/run", wire.EncodeRunSpec(spec))
 	if err != nil {
@@ -273,9 +303,9 @@ func (c *Client) getJSON(ctx context.Context, path string, v any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
-		return err
+		return fmt.Errorf("refereed: read %s response: %w", path, err)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return &StatusError{Code: resp.StatusCode, Body: string(data)}

@@ -28,6 +28,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -404,8 +405,7 @@ func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, wire.ReportToJSON(report, false))
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(wire.EncodeRunReport(report))
+	writeFrame(w, wire.EncodeRunReport(report))
 }
 
 func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -426,8 +426,7 @@ func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, wire.BatchToJSON(items))
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(wire.EncodeBatchReport(items))
+	writeFrame(w, wire.EncodeBatchReport(items))
 }
 
 // BackendInfo is one backend's row in healthz and stats responses.
@@ -551,6 +550,15 @@ func (co *Coordinator) Stats(ctx context.Context) StatsInfo {
 
 func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, co.Stats(r.Context()))
+}
+
+// writeFrame writes a binary response under a declared Content-Length,
+// as the daemon does, so clients read it into one buffer.
+func writeFrame(w http.ResponseWriter, frame []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(frame)))
+	w.Write(frame)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

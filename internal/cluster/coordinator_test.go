@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -157,6 +158,43 @@ func TestCoordinatorParityAllSpecs(t *testing.T) {
 	}
 	if spread < 2 {
 		t.Fatalf("only %d of 3 backends served traffic; ring is not spreading", spread)
+	}
+}
+
+// TestCoordinatorResponsesDeclareLength: the coordinator's binary
+// /v1/run (a ~2 MB transcript) and /v1/batch responses declare their
+// Content-Length as a daemon's do, so net/http sends them unchunked.
+func TestCoordinatorResponsesDeclareLength(t *testing.T) {
+	_, co := startCluster(t, 2)
+	front := httptest.NewServer(co)
+	t.Cleanup(front.Close)
+	large := wire.RunSpec{
+		Label: "agm-forest", Protocol: "agm-forest", Seed: 11, Workers: 1,
+		Graph: wire.GraphSpec{Kind: "gnp", N: 100, P: 8.0 / 99, Seed: 7},
+	}
+	for _, req := range []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/run", wire.EncodeRunSpec(large)},
+		{"/v1/batch", wire.EncodeBatchSpec(wire.SmokeSpecs(1))},
+	} {
+		resp, err := http.Post(front.URL+req.path, "application/octet-stream", bytes.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", req.path, resp.StatusCode, body)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: %d-byte body sent with Content-Length %d and Transfer-Encoding %v",
+				req.path, len(body), resp.ContentLength, resp.TransferEncoding)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"repro/internal/server"
@@ -25,33 +26,63 @@ func (d *discardResponse) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// BenchmarkServerHitLarge times one /v1/run cache hit on a ~2 MB
-// agm-forest entry, in process: spec decode, validation, cache key and
-// lookup, the hit's summary decode and log record, and the re-framed
-// response.
-func BenchmarkServerHitLarge(b *testing.B) {
+// hitLargeSpec is a ~2 MB agm-forest run, the size of the service's large
+// cached transcripts.
+var hitLargeSpec = wire.RunSpec{
+	Label: "agm-forest", Protocol: "agm-forest", Seed: 11, Workers: 1,
+	Graph: wire.GraphSpec{Kind: "gnp", N: 100, P: 8.0 / 99, Seed: 7},
+}
+
+// hitLarge starts a caching daemon, fills its cache with hitLargeSpec's
+// result and checks that the next request hits. It returns a function
+// that serves one more in-process hit, and the size of a hit's response.
+func hitLarge(tb testing.TB) (serve func(), size int) {
 	s := server.New(server.Config{CacheBytes: 64 << 20, Logger: quietLogger()})
-	spec := wire.RunSpec{
-		Label: "agm-forest", Protocol: "agm-forest", Seed: 11, Workers: 1,
-		Graph: wire.GraphSpec{Kind: "gnp", N: 100, P: 8.0 / 99, Seed: 7},
-	}
-	body := wire.EncodeRunSpec(spec)
-	serve := func() *discardResponse {
+	body := wire.EncodeRunSpec(hitLargeSpec)
+	run := func() *discardResponse {
 		w := &discardResponse{header: http.Header{}, status: http.StatusOK}
 		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
 		if w.status != http.StatusOK {
-			b.Fatalf("status %d", w.status)
+			tb.Fatalf("status %d", w.status)
 		}
 		return w
 	}
-	serve() // the miss that fills the cache
-	b.SetBytes(int64(serve().n))
+	run() // the miss that fills the cache
+	size = run().n
 	if hits := s.Stats().Cache.Hits; hits != 1 {
-		b.Fatalf("%d cache hits after the second request, want 1", hits)
+		tb.Fatalf("%d cache hits after the second request, want 1", hits)
 	}
+	return func() { run() }, size
+}
+
+// BenchmarkServerHitLarge times one /v1/run cache hit on a ~2 MB
+// agm-forest entry, in process: spec decode, validation, cache key and
+// lookup, the hit's summary decode and log record, and the frame head
+// written before the stored payload.
+func BenchmarkServerHitLarge(b *testing.B) {
+	serve, size := hitLarge(b)
+	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serve()
+	}
+}
+
+// TestRunHitAllocationBound: a /v1/run hit on the ~2 MB entry allocates
+// under 64 KiB — the frame head and request bookkeeping, never a copy of
+// the stored payload.
+func TestRunHitAllocationBound(t *testing.T) {
+	serve, size := hitLarge(t)
+	const runs = 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		serve()
+	}
+	runtime.ReadMemStats(&after)
+	if perHit := (after.TotalAlloc - before.TotalAlloc) / runs; perHit >= 64<<10 {
+		t.Fatalf("a hit on a %d-byte entry allocates %d bytes, want under 64 KiB", size, perHit)
 	}
 }

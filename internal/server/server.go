@@ -27,9 +27,12 @@
 // determinism contract is a content address for the result, so a hit
 // serves stored bytes that are byte-identical to a fresh execution's
 // response. A /v1/run entry keeps the transcript's digest beside the
-// result, so a hit costs one copy of the stored bytes into a frame plus
-// a decode of the stats and outcome prefix: it neither rebuilds the
-// transcript nor hashes it again.
+// result, so a hit writes a small frame head and then the stored bytes
+// themselves, after a decode of the stats and outcome prefix: it copies
+// no payload, rebuilds no transcript and hashes nothing.
+//
+// Every binary response declares its Content-Length, so net/http sends
+// it unchunked and a client can read it into one buffer of that size.
 package server
 
 import (
@@ -267,9 +270,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	// Cache fast path: a full entry under this spec's content address
 	// is served without queueing for an execution slot at all — the
-	// stored bytes re-frame under this request's spec echo into exactly
-	// the response a fresh execution would produce. A summary entry
-	// (from /v1/batch) cannot answer a run: it counts as a miss.
+	// stored bytes, behind this request's spec echo, are exactly the
+	// response a fresh execution would produce. A summary entry (from
+	// /v1/batch) cannot answer a run: it counts as a miss.
 	var key string
 	if s.results != nil {
 		key = wire.SpecCacheKey(spec)
@@ -283,7 +286,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			s.serveRun(w, r, runResponse{
 				spec: spec, stats: &stats, outcome: outcome,
 				digest: string(val[1 : 1+wire.DigestLen]), cached: true,
-				frame: func() []byte { return wire.EncodeRunReportForSpec(spec, result) },
+				result: result,
 			})
 			return
 		}
@@ -302,30 +305,35 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := runResponse{spec: spec, stats: &report.Stats, outcome: report.Outcome, digest: report.Digest()}
-	if s.results == nil {
-		resp.frame = func() []byte { return wire.EncodeRunReport(report) }
-	} else {
-		result := wire.EncodeResultPayload(report)
-		s.results.Put(key, fullEntry(resp.digest, result))
-		resp.frame = func() []byte { return wire.EncodeRunReportForSpec(spec, result) }
+	// The result payload is the cache value's body and the binary
+	// response's; with the cache off, a JSON response needs neither.
+	if s.results != nil || !wantsJSON(r) {
+		resp.result = wire.EncodeResultPayload(report)
+	}
+	if s.results != nil {
+		s.results.Put(key, fullEntry(resp.digest, resp.result))
 	}
 	s.serveRun(w, r, resp)
 }
 
 // runResponse is what a /v1/run response and its log record need, from a
-// fresh execution or a cache hit alike. frame builds the binary body; a
-// JSON response never calls it.
+// fresh execution or a cache hit alike. result is the binary body's
+// result payload — a cache entry's own bytes on a hit, which is why it
+// is only ever read — and is nil for a JSON response the cache does not
+// need.
 type runResponse struct {
 	spec    wire.RunSpec
 	stats   *engine.RunStats
 	outcome wire.Outcome
 	digest  string
 	cached  bool
-	frame   func() []byte
+	result  []byte
 }
 
-// serveRun writes a /v1/run response — one response path for the fresh
-// and cached cases, so both emit byte-identical frames by construction.
+// serveRun writes a /v1/run response — one response path for a hit, a
+// miss and a cache-off daemon, so all three emit byte-identical frames
+// by construction: the frame head for this request's spec, then the
+// result payload as it is.
 func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, resp runResponse) {
 	s.log.LogAttrs(r.Context(), slog.LevelInfo, "run",
 		slog.String("label", resp.spec.Label),
@@ -338,8 +346,18 @@ func (s *Server) serveRun(w http.ResponseWriter, r *http.Request, resp runRespon
 		writeJSON(w, wire.SummaryToJSON(resp.spec, resp.stats, resp.outcome, resp.digest))
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(resp.frame())
+	writeFrame(w, wire.RunReportHead(resp.spec, len(resp.result)), resp.result)
+}
+
+// writeFrame writes a binary response body, head then payload, under a
+// declared Content-Length: net/http then sends it unchunked, and the
+// client reads it into one buffer of exactly that size.
+func writeFrame(w http.ResponseWriter, head, payload []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(payload)))
+	w.Write(head)
+	w.Write(payload)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -411,8 +429,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, wire.BatchToJSON(items))
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(wire.EncodeBatchReport(items))
+	writeFrame(w, wire.EncodeBatchReport(items), nil)
 }
 
 // healthInfo is the healthz response body.

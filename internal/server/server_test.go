@@ -483,6 +483,45 @@ func TestBatchUsesCache(t *testing.T) {
 	}
 }
 
+// TestBinaryResponsesDeclareLength: every binary response — a miss, a hit
+// and a cache-off /v1/run of a ~2 MB transcript, and a /v1/batch —
+// declares its Content-Length, so net/http sends it unchunked and the
+// client can read it into one buffer of that size.
+func TestBinaryResponsesDeclareLength(t *testing.T) {
+	cached, _ := newTestServer(t, server.Config{CacheBytes: 64 << 20})
+	uncached, _ := newTestServer(t, server.Config{})
+	run := wire.EncodeRunSpec(hitLargeSpec)
+	for _, req := range []struct {
+		name, url string
+		body      []byte
+	}{
+		{"miss", cached.URL + "/v1/run", run},
+		{"hit", cached.URL + "/v1/run", run},
+		{"cache off", uncached.URL + "/v1/run", run},
+		{"batch", cached.URL + "/v1/batch", wire.EncodeBatchSpec(wire.SmokeSpecs(1))},
+	} {
+		resp, err := http.Post(req.url, "application/octet-stream", bytes.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", req.name, resp.StatusCode, body)
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: %d-byte body sent with Content-Length %d and Transfer-Encoding %v",
+				req.name, len(body), resp.ContentLength, resp.TransferEncoding)
+		}
+	}
+	if st := fetchStats(t, cached.URL); st.Cache.Hits != 1 {
+		t.Fatalf("%d cache hits, want 1 (the second run)", st.Cache.Hits)
+	}
+}
+
 func fetchStats(t *testing.T, base string) server.StatsInfo {
 	t.Helper()
 	resp, err := http.Get(base + "/v1/stats")

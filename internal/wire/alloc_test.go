@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitio"
@@ -9,10 +10,26 @@ import (
 )
 
 // Allocation guards for the transcript codec: frames are sized before
-// they are written, and decoding copies each message once, so the
-// allocation counts are fixed by the transcript's shape alone.
+// they are written, and decoding adopts each message where it lies in
+// the frame, so what decoding allocates is fixed by the transcript's
+// shape alone.
 
 var sinkFrame []byte
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes f
+// allocates per call, averaged over runs calls after a warm-up call,
+// with GOMAXPROCS at 1 as AllocsPerRun sets it.
+func bytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
 
 // uniformTranscript seals rounds×players messages of msgBytes bytes each
 // (the last one 3 bits short, so padding is exercised) plus one feedback
@@ -61,19 +78,29 @@ func TestEncodeRunReportForSpecAllocatesOnce(t *testing.T) {
 }
 
 // TestDecodeTranscriptAllocsIndependentOfLength: decoding costs the same
-// number of allocations for 1 KB and 64 KB messages of the same shape.
+// number of allocations, and the same number of bytes, for 1 KB and
+// 64 KB messages of the same shape — no message is copied out of the
+// frame.
 func TestDecodeTranscriptAllocsIndependentOfLength(t *testing.T) {
-	allocs := func(msgBytes int) float64 {
+	type cost struct {
+		allocs float64
+		bytes  uint64
+	}
+	measure := func(msgBytes int) cost {
 		data := EncodeTranscript(uniformTranscript(2, 8, msgBytes))
-		return testing.AllocsPerRun(10, func() {
+		decode := func() {
 			if _, err := DecodeTranscript(data); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		return cost{testing.AllocsPerRun(10, decode), bytesPerRun(10, decode)}
 	}
-	small, large := allocs(1<<10), allocs(64<<10)
-	if small != large {
-		t.Fatalf("DecodeTranscript allocates %v times for 1 KB messages but %v for 64 KB ones", small, large)
+	small, large := measure(1<<10), measure(64<<10)
+	if small.allocs != large.allocs {
+		t.Fatalf("DecodeTranscript allocates %v times for 1 KB messages but %v for 64 KB ones", small.allocs, large.allocs)
+	}
+	if small.bytes != large.bytes {
+		t.Fatalf("DecodeTranscript allocates %d bytes for 1 KB messages but %d for 64 KB ones", small.bytes, large.bytes)
 	}
 }
 
@@ -98,6 +125,7 @@ func TestFramesSizedExactly(t *testing.T) {
 		"result":        result,
 		"summary":       EncodeResultSummary(&report.Stats, report.Outcome),
 		"report-reused": EncodeRunReportForSpec(specs[3], result),
+		"report-head":   RunReportHead(specs[3], len(result)),
 	} {
 		if len(out) != cap(out) {
 			t.Errorf("%s: %d bytes written into a %d-byte buffer", name, len(out), cap(out))

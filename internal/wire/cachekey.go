@@ -15,12 +15,12 @@ package wire
 //
 // The cached value is the result payload: stats, outcome, transcript,
 // in exactly the layout EncodeRunReport uses after the spec echo.
-// Serving a hit is therefore pure concatenation — EncodeRunReportForSpec
-// re-frames the stored bytes under the requesting spec's echo in one
-// copy — and the response is byte-identical to what a fresh execution
-// would have produced, except that the stats' wall-time and scheduling
-// fields describe the execution that populated the cache (bit counts,
-// outcome, resilience, and the transcript itself are
+// Serving a hit is therefore pure concatenation — RunReportHead builds
+// the frame header and the requesting spec's echo, and the stored bytes
+// follow it as they are — and the response is byte-identical to what a
+// fresh execution would have produced, except that the stats' wall-time
+// and scheduling fields describe the execution that populated the cache
+// (bit counts, outcome, resilience, and the transcript itself are
 // execution-independent). A hit never needs the transcript as a value:
 // DecodeResultSummary reads the stats and outcome prefix, and the
 // daemon stores the transcript's digest (DigestLen bytes) beside the
@@ -93,11 +93,27 @@ func DecodeResultSummary(result []byte) (engine.RunStats, Outcome, error) {
 // result payload are canonical encodings. The result is copied once,
 // into a frame allocated at its exact size.
 func EncodeRunReportForSpec(spec RunSpec, result []byte) []byte {
-	size := enc{sizing: true}
-	appendRunSpecPayload(&size, spec)
-	size.raw(result)
-	e := size.frame(kindRunReport)
-	appendRunSpecPayload(&e, spec)
+	e := runReportHead(spec, len(result), len(result))
 	e.raw(result)
 	return e.b
+}
+
+// RunReportHead returns the bytes that precede a resultLen-byte result
+// payload in a RunReport frame echoing spec: the frame header and the
+// spec echo, allocated at exactly their size. RunReportHead(spec,
+// len(result)) followed by result is EncodeRunReportForSpec(spec, result)
+// byte for byte, so a daemon writes a stored result behind its head
+// without copying it.
+func RunReportHead(spec RunSpec, resultLen int) []byte {
+	return runReportHead(spec, resultLen, 0).b
+}
+
+// runReportHead writes a RunReport frame's header and spec echo for a
+// resultLen-byte result into a buffer with room for extra more bytes.
+func runReportHead(spec RunSpec, resultLen, extra int) enc {
+	size := enc{sizing: true}
+	appendRunSpecPayload(&size, spec)
+	e := frameHeader(kindRunReport, size.n+resultLen, size.n+extra)
+	appendRunSpecPayload(&e, spec)
+	return e
 }

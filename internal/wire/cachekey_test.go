@@ -63,6 +63,46 @@ func TestCachedReportBytesIdentical(t *testing.T) {
 	}
 }
 
+// TestRunReportHeadMatchesFrame: a head followed by its result payload
+// is, byte for byte, the frame EncodeRunReportForSpec builds — for every
+// smoke spec's own result, and for results that put the frame's payload
+// length on either side of each point where its uvarint grows a byte
+// (2⁷, 2¹⁴ and 2²¹ bytes).
+func TestRunReportHeadMatchesFrame(t *testing.T) {
+	check := func(spec RunSpec, result []byte) {
+		t.Helper()
+		head := RunReportHead(spec, len(result))
+		if len(head) != cap(head) {
+			t.Errorf("%s: %d-byte head in a %d-byte buffer", spec.Label, len(head), cap(head))
+		}
+		got := append(head, result...)
+		if want := EncodeRunReportForSpec(spec, result); !bytes.Equal(got, want) {
+			t.Errorf("%s: head and %d-byte result differ from the frame", spec.Label, len(result))
+		}
+	}
+	for _, spec := range SmokeSpecs(1) {
+		report, err := ExecuteSpec(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(spec, EncodeResultPayload(report))
+		size := enc{sizing: true}
+		appendRunSpecPayload(&size, spec)
+		for _, boundary := range []int{1 << 7, 1 << 14, 1 << 21} {
+			for _, payloadLen := range []int{boundary - 1, boundary} {
+				if payloadLen < size.n {
+					continue // this spec's echo alone is longer
+				}
+				result := make([]byte, payloadLen-size.n)
+				for i := range result {
+					result[i] = byte(i)
+				}
+				check(spec, result)
+			}
+		}
+	}
+}
+
 // TestResultSummaryPrefixDecode: a summary decodes from both the
 // summary form and as a prefix of the full result payload.
 func TestResultSummaryPrefixDecode(t *testing.T) {

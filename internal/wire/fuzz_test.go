@@ -29,17 +29,15 @@ func FuzzWireDecodeRunSpec(f *testing.F) {
 	})
 }
 
-// FuzzWireDecodeTranscript asserts the transcript decoder never panics on
-// arbitrary input and that accepted frames are canonical: the rebuilt
-// transcript re-encodes to exactly the input bytes.
-func FuzzWireDecodeTranscript(f *testing.F) {
-	// Seed with the first two specs plus a few registry-migrated
-	// protocols whose messages have different shapes (palette lists,
-	// float rescaling counts, two speaking players); the heavyweight
-	// transcripts (mst-weight, agm-cut-sparsifier) are left out to keep
-	// the fuzz iteration fast.
-	// mm-tworound and fb-corrupt-mis-tworound carry non-empty referee
-	// feedback, seeding the decoder's feedback lane (wire version 2).
+// fuzzSeedReports executes the smoke specs that seed the transcript and
+// report fuzzers: the first two specs plus a few registry-migrated
+// protocols whose messages have different shapes (palette lists, float
+// rescaling counts, two speaking players); the heavyweight transcripts
+// (mst-weight, agm-cut-sparsifier) are left out to keep the fuzz
+// iteration fast. mm-tworound and fb-corrupt-mis-tworound carry
+// non-empty referee feedback, seeding the decoder's feedback lane (wire
+// version 2).
+func fuzzSeedReports(f *testing.F) []*RunReport {
 	seeds := SmokeSpecs(2)[:2:2]
 	for _, spec := range SmokeSpecs(2) {
 		switch spec.Label {
@@ -48,11 +46,23 @@ func FuzzWireDecodeTranscript(f *testing.F) {
 			seeds = append(seeds, spec)
 		}
 	}
-	for _, spec := range seeds {
+	reports := make([]*RunReport, len(seeds))
+	for i, spec := range seeds {
 		report, err := ExecuteSpec(context.Background(), spec)
 		if err != nil {
 			f.Fatal(err)
 		}
+		reports[i] = report
+	}
+	return reports
+}
+
+// FuzzWireDecodeTranscript asserts the transcript decoder never panics on
+// arbitrary input, that accepted frames are canonical — the rebuilt
+// transcript re-encodes to exactly the input bytes — and that decoding,
+// which adopts the input, never writes to it.
+func FuzzWireDecodeTranscript(f *testing.F) {
+	for _, report := range fuzzSeedReports(f) {
 		f.Add(EncodeTranscript(report.Transcript))
 	}
 	f.Add(EncodeTranscript(nil))
@@ -62,12 +72,42 @@ func FuzzWireDecodeTranscript(f *testing.F) {
 	// decoder's rejection paths directly.
 	f.Add(appendFrame(kindTranscript, []byte{1, 1, 0, 3, 0xff}))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		orig := bytes.Clone(data)
 		tr, err := DecodeTranscript(data)
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("decoding modified its input: %x became %x", orig, data)
+		}
 		if err != nil {
 			return
 		}
 		if !bytes.Equal(EncodeTranscript(tr), data) {
 			t.Fatalf("accepted non-canonical transcript encoding: %x", data)
+		}
+	})
+}
+
+// FuzzWireDecodeRunReport asserts the run-report decoder — what a client
+// runs on every /v1/run response — never panics on arbitrary input, that
+// accepted frames re-encode to exactly the input bytes, and that
+// decoding, which adopts the input, never writes to it.
+func FuzzWireDecodeRunReport(f *testing.F) {
+	for _, report := range fuzzSeedReports(f) {
+		f.Add(EncodeRunReport(report))
+	}
+	f.Add([]byte{})
+	f.Add([]byte("RSKW"))
+	f.Add(appendFrame(kindRunReport, nil))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		orig := bytes.Clone(data)
+		r, err := DecodeRunReport(data)
+		if !bytes.Equal(data, orig) {
+			t.Fatalf("decoding modified its input: %x became %x", orig, data)
+		}
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(EncodeRunReport(r), data) {
+			t.Fatalf("accepted non-canonical run-report encoding: %x", data)
 		}
 	})
 }

@@ -161,7 +161,9 @@ func EncodeRunReport(r *RunReport) []byte {
 	return e.b
 }
 
-// DecodeRunReport inverts EncodeRunReport.
+// DecodeRunReport inverts EncodeRunReport. Its transcript adopts data
+// as DecodeTranscript's does, so the caller must not modify data
+// afterwards.
 func DecodeRunReport(data []byte) (*RunReport, error) {
 	payload, err := openFrame(data, kindRunReport)
 	if err != nil {

@@ -32,11 +32,14 @@
 // LSB-first into ⌈bits/8⌉ bytes, the wire's own layout, so the encoder
 // copies each message into the frame whole (through
 // engine.Transcript.AppendMessage, clearing the final byte's padding
-// bits), and the decoder copies each one out once into a buffer the
-// transcript adopts (bitio.NewOwnedWriterFrom) after checking its
-// padding. Every encoder sizes its payload first and allocates its
-// output once, at the exact length. reference_test.go holds a
-// bit-at-a-time reference codec and checks that both emit the same bytes.
+// bits), and the decoder copies nothing: after checking a message's
+// padding it hands the transcript a capacity-clipped sub-slice of the
+// frame (bitio.NewOwnedWriterFrom), so a decoded transcript adopts the
+// frame it came from. Every encoder sizes its payload first and
+// allocates its output once, at the exact length; RunReportHead lets a
+// caller that already holds a result payload write it behind its header
+// without copying it at all. reference_test.go holds a bit-at-a-time
+// reference codec and checks that both emit the same bytes.
 //
 // Digest compatibility. Version 2 added the referee feedback lane
 // (engine.Adaptive) to the transcript payload: after each round's player
@@ -53,7 +56,6 @@
 package wire
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -150,11 +152,16 @@ type enc struct {
 // frame ends a sizing pass: it allocates a frame for exactly the payload
 // counted so far, writes its header, and returns the enc that appends the
 // payload.
-func (e *enc) frame(kind byte) enc {
-	buf := make([]byte, 0, 6+uvarintLen(uint64(e.n))+e.n)
+func (e *enc) frame(kind byte) enc { return frameHeader(kind, e.n, e.n) }
+
+// frameHeader allocates room for a frame header declaring payloadLen
+// payload bytes plus room further bytes, writes the header, and returns
+// the enc that appends what follows it.
+func frameHeader(kind byte, payloadLen, room int) enc {
+	buf := make([]byte, 0, 6+uvarintLen(uint64(payloadLen))+room)
 	buf = append(buf, magic[:]...)
 	buf = append(buf, Version, kind)
-	return enc{b: binary.AppendUvarint(buf, uint64(e.n))}
+	return enc{b: binary.AppendUvarint(buf, uint64(payloadLen))}
 }
 
 // payload ends a sizing pass for a bare payload, one with no frame header.
@@ -410,11 +417,13 @@ func appendTranscriptPayload(e *enc, t *engine.Transcript) {
 }
 
 // DecodeTranscript inverts EncodeTranscript, rebuilding a sealed
-// engine.Transcript under the engine's immutability contract: each
-// message is copied once into a buffer the transcript owns, so the result
-// never aliases data. Corrupt input yields an error, never a panic;
-// non-zero padding bits in a message's final byte are rejected so that
-// decode(encode(t)) re-encodes byte-identically.
+// engine.Transcript that adopts data: each message is a capacity-clipped
+// sub-slice of the frame, sealed through the owned-writer path, so the
+// transcript's bits are data's bytes and the caller must not modify data
+// afterwards (the rule bitio.NewOwnedWriterFrom states). Corrupt input
+// yields an error, never a panic; non-zero padding bits in a message's
+// final byte are rejected so that decode(encode(t)) re-encodes
+// byte-identically, and decoding never writes to data.
 func DecodeTranscript(data []byte) (*engine.Transcript, error) {
 	payload, err := openFrame(data, kindTranscript)
 	if err != nil {
@@ -430,10 +439,11 @@ func DecodeTranscript(data []byte) (*engine.Transcript, error) {
 
 func decodeTranscriptPayload(d *dec) *engine.Transcript {
 	t := engine.NewTranscript()
-	// readMessage copies one message out of the payload into an owned
-	// writer, which sealing then steals instead of copying again. The
-	// error labels come whole rather than concatenated per call, so a
-	// message allocates only its buffer and its writer.
+	// readMessage wraps one message of the payload, clipped to its own
+	// bytes so nothing appended to it can reach the next message, in an
+	// owned writer that sealing steals. The error labels come whole
+	// rather than concatenated per call, so a message allocates only its
+	// writer.
 	readMessage := func(round, v int, lenWhat, bitsWhat, what string) *bitio.Writer {
 		nbit := d.int(lenWhat)
 		if d.err != nil {
@@ -451,7 +461,7 @@ func decodeTranscriptPayload(d *dec) *engine.Transcript {
 		if nbit == 0 {
 			return nil
 		}
-		return bitio.NewOwnedWriterFrom(bytes.Clone(buf), nbit)
+		return bitio.NewOwnedWriterFrom(buf[:nb:nb], nbit)
 	}
 	rounds := d.length("round", 1)
 	for round := 0; round < rounds; round++ {
