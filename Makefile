@@ -9,12 +9,14 @@
 # apply, the
 # transcript codec on six ~2 MB AGM-family reports, one in-process
 # /v1/run cache hit on a ~2 MB entry, the same hit read and decoded by
-# the client from a loopback daemon, the AGM forest referee at
+# the client from a loopback daemon, in-process /v1/run misses of the
+# three multi-round protocols at miss-mixed's sizes, the AGM forest
+# referee at
 # sketch-batch's size (AGMDecode runs the scalar reference and the banked
 # referee side by side), and the bulk 61-bit unpack kernel. bench-smoke
 # and the informational CI job share this selection with
 # bench/baseline.txt.
-BENCH_HOT := FieldPow|FieldInv|L0Update|L0Sample|BankUpdate|AGMSketchVertex|DynStreamApply|WireReportEncodeLarge|WireReportDecodeLarge|ServerHitLarge|ClientRunHitLarge|AGMDecode|BitioUnpack61
+BENCH_HOT := FieldPow|FieldInv|L0Update|L0Sample|BankUpdate|AGMSketchVertex|DynStreamApply|WireReportEncodeLarge|WireReportDecodeLarge|ServerHitLarge|ServerMissAdaptive|ClientRunHitLarge|AGMDecode|BitioUnpack61
 BENCH_HOT_PKGS := ./internal/field/ ./internal/l0/ ./internal/agm/ ./internal/dynstream/ ./internal/wire/ ./internal/server/ ./internal/client/ ./internal/bitio/
 
 # The engine-level block-vs-scalar pair the bench guard watches, in
@@ -85,6 +87,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzWireDecodeTranscript -fuzztime=30s ./internal/wire
 	go test -run='^$$' -fuzz=FuzzWireDecodeRunStats -fuzztime=30s ./internal/wire
 	go test -run='^$$' -fuzz=FuzzWireDecodeRunReport -fuzztime=30s ./internal/wire
+	go test -run='^$$' -fuzz=FuzzAdaptiveFeedback -fuzztime=30s ./internal/wire
 	go test -run='^$$' -fuzz=FuzzDynStreamDecode -fuzztime=30s ./internal/dynstream
 	go test -run='^$$' -fuzz=FuzzAGMForestDecode -fuzztime=30s ./internal/agm
 

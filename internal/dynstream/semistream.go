@@ -60,6 +60,7 @@ const DefaultEps = 0.25
 var (
 	_ engine.ResilientProtocol[[]graph.Edge] = (*SemiStream)(nil)
 	_ engine.Adaptive                        = (*SemiStream)(nil)
+	_ engine.BlockBroadcaster                = (*SemiStream)(nil)
 )
 
 // NewSemiStream returns the protocol with the given slack (0 selects
@@ -293,37 +294,54 @@ func (p *SemiStream) writeReport(view core.VertexView, round int, neighbors []in
 	return w
 }
 
-// Broadcast implements engine.Protocol. Pass 0 seeds the pool with a
-// uniform sample; every later pass reports the not-yet-reported incident
-// edges the last feedback selects — all of them for an active vertex,
-// only those into the active set for a passive one.
+// Broadcast implements engine.Protocol: BroadcastBlock over one view.
 func (p *SemiStream) Broadcast(round int, view core.VertexView, t *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
+	views, out := [1]core.VertexView{view}, [1]*bitio.Writer{}
+	_, err := p.BroadcastBlock(round, views[:], t, coins, out[:])
+	return out[0], err
+}
+
+// BroadcastBlock implements engine.BlockBroadcaster. Pass 0 seeds the
+// pool with a uniform sample; every later pass reports the
+// not-yet-reported incident edges the last feedback selects — all of
+// them for an active vertex, only those into the active set for a
+// passive one. The feedback is parsed once for the whole block.
+func (p *SemiStream) BroadcastBlock(round int, views []core.VertexView, t *engine.Transcript, coins *rng.PublicCoins, out []*bitio.Writer) (int, error) {
 	if round >= p.Rounds() {
-		return nil, fmt.Errorf("dynstream: unexpected round %d", round)
+		return 0, fmt.Errorf("dynstream: unexpected round %d", round)
+	}
+	if len(views) == 0 {
+		return 0, nil
 	}
 	if round == 0 {
-		budget := p.seedBudget(view.N)
-		k := min(budget, view.Degree())
-		src := coins.Derive("semistream-seed").DeriveIndex(view.ID).Source()
-		perm := src.Perm(view.Degree())
-		neighbors := make([]int, k)
-		for i := 0; i < k; i++ {
-			neighbors[i] = view.Neighbors[perm[i]]
+		budget := p.seedBudget(views[0].N)
+		for i, view := range views {
+			k := min(budget, view.Degree())
+			src := coins.Derive("semistream-seed").DeriveIndex(view.ID).Source()
+			perm := src.Perm(view.Degree())
+			neighbors := make([]int, k)
+			for j := 0; j < k; j++ {
+				neighbors[j] = view.Neighbors[perm[j]]
+			}
+			out[i] = p.writeReport(view, round, neighbors, coins)
 		}
-		return p.writeReport(view, round, neighbors, coins), nil
+		return 0, nil
 	}
-	_, active, _ := readFeedback(view.N, t.Feedback(round-1))
-	sent := sentBefore(view.N, view.ID, round, t)
-	var neighbors []int
-	for _, u := range view.Neighbors {
-		if sent[u] {
-			continue
+	_, active, _ := readFeedback(views[0].N, t.Feedback(round-1))
+	for i, view := range views {
+		sent := sentBefore(view.N, view.ID, round, t)
+		var neighbors []int
+		for _, u := range view.Neighbors {
+			if sent[u] {
+				continue
+			}
+			if active[view.ID] || active[u] {
+				neighbors = append(neighbors, u)
+			}
 		}
-		if active[view.ID] || active[u] {
-			neighbors = append(neighbors, u)
-		}
+		out[i] = p.writeReport(view, round, neighbors, coins)
 	}
-	return p.writeReport(view, round, neighbors, coins), nil
+	return 0, nil
 }
 
 // Decode implements engine.Protocol: the output is the blossom maximum

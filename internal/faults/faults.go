@@ -175,6 +175,24 @@ func ParsePlan(s string) (Plan, error) {
 	return p, nil
 }
 
+// appendLabel appends the sub-stream label fault/<kind>/<round>/<v> to
+// dst. Callers build it in a stack buffer of labelBuf bytes and pass it
+// to rng.PublicCoins.Derive as a string conversion that does not escape,
+// so deriving a fault coin allocates nothing.
+func appendLabel(dst []byte, kind string, round, v int) []byte {
+	dst = append(dst, "fault/"...)
+	dst = append(dst, kind...)
+	dst = append(dst, '/')
+	dst = strconv.AppendInt(dst, int64(round), 10)
+	dst = append(dst, '/')
+	return strconv.AppendInt(dst, int64(v), 10)
+}
+
+// labelBuf is the label buffer's size: every label whose round and
+// vertex are below 10⁷ fits in it, and also in the 32 bytes the runtime
+// keeps on the stack for a string conversion that does not escape.
+const labelBuf = 32
+
 // coin evaluates one Bernoulli fault decision from its labeled sub-stream.
 // Deriving by label makes the decision a pure function of (coins, kind,
 // round, vertex) — independent of scheduling order.
@@ -185,7 +203,8 @@ func coin(coins *rng.PublicCoins, kind string, round, v int, prob float64) bool 
 	if prob >= 1 {
 		return true
 	}
-	return coins.Derive(fmt.Sprintf("fault/%s/%d/%d", kind, round, v)).Source().Float64() < prob
+	var buf [labelBuf]byte
+	return coins.Derive(string(appendLabel(buf[:0], kind, round, v))).Source().Float64() < prob
 }
 
 // flipPositions returns the k bit positions (with replacement) flipped in
@@ -193,7 +212,8 @@ func coin(coins *rng.PublicCoins, kind string, round, v int, prob float64) bool 
 // kind is "flip" for player messages and "fb-flip" for referee feedback,
 // keeping the two lanes on independent labeled streams.
 func flipPositions(coins *rng.PublicCoins, kind string, round, v, msgBits, k int) []int {
-	src := coins.Derive(fmt.Sprintf("fault/%s/%d/%d", kind, round, v)).Source()
+	var buf [labelBuf]byte
+	src := coins.Derive(string(appendLabel(buf[:0], kind, round, v))).Source()
 	pos := make([]int, k)
 	for i := range pos {
 		pos[i] = src.Intn(msgBits)

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -255,6 +256,33 @@ func TestParsePlan(t *testing.T) {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)
 		}
+	}
+}
+
+var sinkCoin bool
+
+// TestFaultLabels: appendLabel builds, byte for byte, the
+// fault/<kind>/<round>/<v> label every fault sub-stream has been derived
+// from, for every kind and for rounds and vertices of one to ten digits,
+// including labels longer than the stack buffer; and a coin derives its
+// label without allocating.
+func TestFaultLabels(t *testing.T) {
+	kinds := []string{"drop", "corrupt", "flip", "straggle", "fb-drop", "fb-corrupt", "fb-flip"}
+	values := []int{0, 7, 10, 99, 123, 4096, 99999, 1234567, 2147483647}
+	for _, kind := range kinds {
+		for _, round := range values {
+			for _, v := range values {
+				var buf [labelBuf]byte
+				got := string(appendLabel(buf[:0], kind, round, v))
+				if want := fmt.Sprintf("fault/%s/%d/%d", kind, round, v); got != want {
+					t.Fatalf("appendLabel(%q, %d, %d) = %q, want %q", kind, round, v, got, want)
+				}
+			}
+		}
+	}
+	coins := rng.NewPublicCoins(3)
+	if n := testing.AllocsPerRun(100, func() { sinkCoin = coin(coins, "fb-corrupt", 1234567, 1234567, 0.5) }); n != 0 {
+		t.Errorf("coin allocates %v times, want 0", n)
 	}
 }
 

@@ -28,9 +28,10 @@ import (
 // cap is a safety valve whose violations surface as (measured) failures,
 // never as silent wrong answers beyond non-maximality.
 //
-// The struct is stateless: the shared round-1 derivation that used to be
-// a mutex-guarded memo now travels through the transcript's sealed
-// feedback lane, computed once, single-threaded, at the round barrier.
+// The struct is stateless: the shared round-1 derivation travels through
+// the transcript's sealed feedback lane, computed once, single-threaded,
+// at the round barrier, and each engine shard parses it once for all of
+// its players (BroadcastBlock).
 type TwoRound struct {
 	// SamplesPerVertex is the round-1 budget in edges; 0 selects ⌈√n⌉.
 	SamplesPerVertex int
@@ -41,6 +42,7 @@ type TwoRound struct {
 var (
 	_ engine.ResilientProtocol[[]graph.Edge] = (*TwoRound)(nil)
 	_ engine.Adaptive                        = (*TwoRound)(nil)
+	_ engine.BlockBroadcaster                = (*TwoRound)(nil)
 )
 
 // NewTwoRound returns the protocol with default budgets.
@@ -159,43 +161,68 @@ func readMatchingFeedback(n int, r *bitio.Reader) (edges []graph.Edge, matched [
 	return edges, matched, ok
 }
 
-// Broadcast implements engine.Protocol. Round-2 players read M₁ from
-// the referee's sealed feedback (Transcript.Feedback) rather than
-// re-deriving it from the full round-1 transcript.
+// Broadcast implements engine.Protocol: BroadcastBlock over one view.
 func (p *TwoRound) Broadcast(round int, view core.VertexView, transcript *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
+	views, out := [1]core.VertexView{view}, [1]*bitio.Writer{}
+	_, err := p.BroadcastBlock(round, views[:], transcript, coins, out[:])
+	return out[0], err
+}
+
+// BroadcastBlock implements engine.BlockBroadcaster. Round-2 players
+// read M₁ from the referee's sealed feedback (Transcript.Feedback)
+// rather than re-deriving it from the full round-1 transcript; the
+// feedback is parsed once for the whole block, and every view's report
+// is written from that one matched-vertex mask.
+func (p *TwoRound) BroadcastBlock(round int, views []core.VertexView, transcript *engine.Transcript, coins *rng.PublicCoins, out []*bitio.Writer) (int, error) {
+	if len(views) == 0 {
+		return 0, nil
+	}
+	n := views[0].N
 	switch round {
 	case 0:
-		return sampleSketch(view, p.samples(view.N), coins), nil
+		for i, view := range views {
+			out[i] = sampleSketch(view, p.samples(n), coins)
+		}
 	case 1:
-		_, matched, _ := readMatchingFeedback(view.N, transcript.Feedback(0))
-		w := bitio.NewPooledWriter()
-		if matched[view.ID] {
-			w.WriteUvarint(0)
-			return w, nil
+		_, matched, _ := readMatchingFeedback(n, transcript.Feedback(0))
+		capEdges := p.capEdges(n)
+		idWidth := bitio.UintWidth(n)
+		for i, view := range views {
+			out[i] = residualReport(view, matched, capEdges, idWidth, coins)
 		}
-		var residual []int
-		for _, u := range view.Neighbors {
-			if !matched[u] {
-				residual = append(residual, u)
-			}
-		}
-		capEdges := p.capEdges(view.N)
-		if len(residual) > capEdges {
-			// Safety valve: report a random subset. May cost maximality;
-			// the experiment counts that as a failure.
-			src := coins.Derive("2r-cap").DeriveIndex(view.ID).Source()
-			src.Shuffle(len(residual), func(i, j int) { residual[i], residual[j] = residual[j], residual[i] })
-			residual = residual[:capEdges]
-		}
-		idWidth := bitio.UintWidth(view.N)
-		w.WriteUvarint(uint64(len(residual)))
-		for _, u := range residual {
-			w.WriteUint(uint64(u), idWidth)
-		}
-		return w, nil
 	default:
-		return nil, fmt.Errorf("matchproto: unexpected round %d", round)
+		return 0, fmt.Errorf("matchproto: unexpected round %d", round)
 	}
+	return 0, nil
+}
+
+// residualReport is a round-2 player's message: empty when M₁ matched
+// it, else its edges to other unmatched vertices, at most capEdges of
+// them.
+func residualReport(view core.VertexView, matched []bool, capEdges, idWidth int, coins *rng.PublicCoins) *bitio.Writer {
+	w := bitio.NewPooledWriter()
+	if matched[view.ID] {
+		w.WriteUvarint(0)
+		return w
+	}
+	var residual []int
+	for _, u := range view.Neighbors {
+		if !matched[u] {
+			residual = append(residual, u)
+		}
+	}
+	if len(residual) > capEdges {
+		// Safety valve: report a random subset. May cost maximality;
+		// the experiment counts that as a failure.
+		src := coins.Derive("2r-cap").DeriveIndex(view.ID).Source()
+		src.Shuffle(len(residual), func(i, j int) { residual[i], residual[j] = residual[j], residual[i] })
+		residual = residual[:capEdges]
+	}
+	w.WriteUvarint(uint64(len(residual)))
+	for _, u := range residual {
+		w.WriteUint(uint64(u), idWidth)
+	}
+	return w
 }
 
 // Decode implements engine.Protocol. The referee interprets round-2

@@ -36,10 +36,11 @@ import (
 // vertices using the reported edges. Only cap overflows can cost
 // correctness; those failures are measured, never silently ignored.
 //
-// The struct is stateless: the shared round-1 derivation that used to be
-// a mutex-guarded memo now travels through the transcript's sealed
-// feedback lane (the rank permutation itself is public-coin material
-// every party re-derives locally).
+// The struct is stateless: the shared round-1 derivation travels through
+// the transcript's sealed feedback lane, and the rank permutation is
+// public-coin material every party re-derives locally. Each engine shard
+// parses the feedback and derives the permutation once for all of its
+// players (BroadcastBlock).
 type TwoRound struct {
 	// SamplesPerVertex is the round-1 budget in neighbors; 0 = ⌈√n⌉.
 	SamplesPerVertex int
@@ -50,6 +51,7 @@ type TwoRound struct {
 var (
 	_ engine.ResilientProtocol[[]int] = (*TwoRound)(nil)
 	_ engine.Adaptive                 = (*TwoRound)(nil)
+	_ engine.BlockBroadcaster         = (*TwoRound)(nil)
 )
 
 // NewTwoRound returns the protocol with default budgets.
@@ -156,67 +158,91 @@ func readCandidateFeedback(n int, r *bitio.Reader) (s1 []int, inS1 []bool, ok bo
 	return s1, inS1, ok
 }
 
-// Broadcast implements engine.Protocol. Round-2 players read S₁ from
-// the referee's sealed feedback (Transcript.Feedback) and re-derive the
-// public rank order locally, rather than re-deriving S₁ from the full
-// round-1 transcript.
+// Broadcast implements engine.Protocol: BroadcastBlock over one view.
 func (p *TwoRound) Broadcast(round int, view core.VertexView, transcript *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
+	views, out := [1]core.VertexView{view}, [1]*bitio.Writer{}
+	_, err := p.BroadcastBlock(round, views[:], transcript, coins, out[:])
+	return out[0], err
+}
+
+// BroadcastBlock implements engine.BlockBroadcaster. Round-2 players
+// read S₁ from the referee's sealed feedback (Transcript.Feedback) and
+// re-derive the public rank order locally, rather than re-deriving S₁
+// from the full round-1 transcript; both are derived once for the whole
+// block, and every view's report is written from them.
+func (p *TwoRound) BroadcastBlock(round int, views []core.VertexView, transcript *engine.Transcript, coins *rng.PublicCoins, out []*bitio.Writer) (int, error) {
+	if len(views) == 0 {
+		return 0, nil
+	}
+	n := views[0].N
 	switch round {
 	case 0:
-		return sampleSketch(view, p.samples(view.N), coins), nil
+		for i, view := range views {
+			out[i] = sampleSketch(view, p.samples(n), coins)
+		}
 	case 1:
-		_, pos := sharedRank(view.N, coins)
-		_, inS1, _ := readCandidateFeedback(view.N, transcript.Feedback(0))
-		limit := p.listCap(view.N)
-		idWidth := bitio.UintWidth(view.N)
-		src := coins.Derive("mis-cap").DeriveIndex(view.ID).Source()
-		w := bitio.NewPooledWriter()
-
-		writeCapped := func(lst []int) {
-			if len(lst) > limit {
-				src.Shuffle(len(lst), func(i, j int) { lst[i], lst[j] = lst[j], lst[i] })
-				lst = lst[:limit]
-			}
-			w.WriteUvarint(uint64(len(lst)))
-			for _, u := range lst {
-				w.WriteUint(uint64(u), idWidth)
-			}
+		_, pos := sharedRank(n, coins)
+		_, inS1, _ := readCandidateFeedback(n, transcript.Feedback(0))
+		limit := p.listCap(n)
+		idWidth := bitio.UintWidth(n)
+		for i, view := range views {
+			out[i] = round2Report(view, pos, inS1, limit, idWidth, coins)
 		}
-
-		var dominators, residual []int
-		for _, u := range view.Neighbors {
-			if inS1[u] {
-				dominators = append(dominators, u)
-			} else {
-				residual = append(residual, u)
-			}
-		}
-
-		if inS1[view.ID] {
-			conflict := false
-			for _, u := range dominators {
-				if pos[u] < pos[view.ID] {
-					conflict = true
-					break
-				}
-			}
-			w.WriteBit(conflict)
-			if !conflict {
-				return w, nil
-			}
-			// Conflicted member: report the S₁-neighbor list so the
-			// referee learns the conflict edges (the larger-rank endpoint
-			// of every S₁-conflict edge lands here).
-			writeCapped(dominators)
-			return w, nil
-		}
-		// Outside S₁: domination witnesses plus extension edges.
-		writeCapped(dominators)
-		writeCapped(residual)
-		return w, nil
 	default:
-		return nil, fmt.Errorf("misproto: unexpected round %d", round)
+		return 0, fmt.Errorf("misproto: unexpected round %d", round)
 	}
+	return 0, nil
+}
+
+// round2Report is a round-2 player's message, written from the public
+// rank positions pos and the fed-back S₁ mask inS1, each list capped at
+// limit entries.
+func round2Report(view core.VertexView, pos []int, inS1 []bool, limit, idWidth int, coins *rng.PublicCoins) *bitio.Writer {
+	src := coins.Derive("mis-cap").DeriveIndex(view.ID).Source()
+	w := bitio.NewPooledWriter()
+
+	writeCapped := func(lst []int) {
+		if len(lst) > limit {
+			src.Shuffle(len(lst), func(i, j int) { lst[i], lst[j] = lst[j], lst[i] })
+			lst = lst[:limit]
+		}
+		w.WriteUvarint(uint64(len(lst)))
+		for _, u := range lst {
+			w.WriteUint(uint64(u), idWidth)
+		}
+	}
+
+	var dominators, residual []int
+	for _, u := range view.Neighbors {
+		if inS1[u] {
+			dominators = append(dominators, u)
+		} else {
+			residual = append(residual, u)
+		}
+	}
+
+	if inS1[view.ID] {
+		conflict := false
+		for _, u := range dominators {
+			if pos[u] < pos[view.ID] {
+				conflict = true
+				break
+			}
+		}
+		w.WriteBit(conflict)
+		if !conflict {
+			return w
+		}
+		// Conflicted member: report the S₁-neighbor list so the
+		// referee learns the conflict edges (the larger-rank endpoint
+		// of every S₁-conflict edge lands here).
+		writeCapped(dominators)
+		return w
+	}
+	// Outside S₁: domination witnesses plus extension edges.
+	writeCapped(dominators)
+	writeCapped(residual)
+	return w
 }
 
 // Decode implements engine.Protocol. The referee interprets round-2

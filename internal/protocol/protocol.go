@@ -17,8 +17,9 @@
 // forwarded. Sketcher is a one-round protocol plus a Verify method, and
 // RegisterSketcher lifts it with that Verify. The multi-round protocols
 // (matchproto, misproto, dynstream) are engine protocols already, with
-// referee feedback and a resilient decode; Adapt folds their output into
-// an Outcome, and its parameter type has the compiler check both
+// referee feedback, a block form that decodes each round's shared state
+// once per shard, and a resilient decode; Adapt folds their output into
+// an Outcome, and its parameter type has the compiler check all three
 // methods. Every registered protocol inherits the engine's worker
 // sharding, bit accounting, transcript sealing, fault injection, and the
 // refereed remote path for free.
@@ -161,16 +162,18 @@ func (a *oneRound[O, T]) DecodeResilient(n int, t *engine.Transcript, coins *rng
 	return a.out(out), core.ResilienceOK, nil
 }
 
-// multiRound is what Adapt requires: an adaptive protocol with a
-// resilient decode. Every registered multi-round protocol is both.
+// multiRound is what Adapt requires: an adaptive protocol with a block
+// form and a resilient decode. Every registered multi-round protocol is
+// all three.
 type multiRound[T any] interface {
 	engine.ResilientProtocol[T]
 	engine.Adaptive
+	engine.BlockBroadcaster
 }
 
 // adapted folds a multi-round protocol's output into an Outcome. The
-// embedded protocol supplies Name, Rounds, Broadcast and Feedback; it has
-// no BroadcastBlock, so the engine runs its per-vertex loop.
+// embedded protocol supplies Name, Rounds, Broadcast, BroadcastBlock and
+// Feedback, so the engine runs its block form shard by shard.
 type adapted[T any] struct {
 	multiRound[T]
 	outcome func(T) Outcome
@@ -193,8 +196,9 @@ func (a *adapted[T]) DecodeResilient(n int, t *engine.Transcript, coins *rng.Pub
 }
 
 // Adapt lifts a multi-round protocol with an explicit outcome summarizer.
-// p must implement engine.Adaptive and engine.ResilientProtocol[T]; the
-// compiler checks both. Use Lift for one-round protocols.
+// p must implement engine.Adaptive, engine.BlockBroadcaster and
+// engine.ResilientProtocol[T]; the compiler checks all three. Use Lift
+// for one-round protocols.
 func Adapt[T any](p multiRound[T], outcome func(T) Outcome) engine.Protocol[Outcome] {
 	return &adapted[T]{multiRound: p, outcome: outcome}
 }

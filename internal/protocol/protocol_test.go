@@ -80,12 +80,13 @@ func TestLiftRunsSketcherEndToEnd(t *testing.T) {
 // report, which no transcript fixture covers — and the optional engine
 // capabilities it has. One-round protocols come through the one-round
 // adapter: a block form and a resilient decode, no referee feedback.
-// Multi-round protocols come through Adapt: feedback and a resilient
-// decode, and the engine's per-vertex loop.
+// Multi-round protocols come through Adapt: a block form that decodes
+// each round's shared state once per shard, feedback, and a resilient
+// decode.
 func TestRegisteredProtocolContracts(t *testing.T) {
 	const (
 		oneRound   = "block+resilient"
-		multiRound = "feedback+resilient"
+		multiRound = "block+feedback+resilient"
 	)
 	want := map[string]struct {
 		name   string

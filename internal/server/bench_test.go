@@ -69,6 +69,55 @@ func BenchmarkServerHitLarge(b *testing.B) {
 	}
 }
 
+// missAdaptiveSpecs are the multi-round protocols at miss-mixed's sizes
+// in the service benchmark, clean and under its fault plan: the specs
+// whose misses run the engine's adaptive rounds.
+func missAdaptiveSpecs() []wire.RunSpec {
+	gnp := func(n int, p float64) wire.GraphSpec { return wire.GraphSpec{Kind: "gnp", N: n, P: p, Seed: 7} }
+	faults := wire.FaultSpec{Drop: 0.1, Corrupt: 0.1, Flip: 2, FbDrop: 0.25, FbCorrupt: 0.25, Seed: 13}
+	specs := []wire.RunSpec{
+		{Protocol: "mm-tworound", Graph: gnp(400, 0.025)},
+		{Protocol: "mis-tworound", Graph: gnp(400, 0.025)},
+		{Protocol: "semistream-matching", Graph: gnp(110, 0.04)},
+		{Protocol: "mm-tworound", Graph: gnp(350, 0.025), Faults: faults},
+		{Protocol: "mis-tworound", Graph: gnp(350, 0.025), Faults: faults},
+		{Protocol: "semistream-matching", Graph: gnp(90, 0.045), Faults: faults},
+	}
+	for i := range specs {
+		specs[i].Label = specs[i].Protocol
+		specs[i].Seed = uint64(11 + i)
+		specs[i].Workers = 1
+	}
+	return specs
+}
+
+// BenchmarkServerMissAdaptive times, per op, one in-process /v1/run miss
+// of each missAdaptiveSpecs spec on a fresh caching daemon with
+// miss-mixed's 256 KiB budget: spec decode and validation, the cache
+// lookup, graph build, every engine round with its referee feedback,
+// the resilient decode and verify, the result encode and the cache
+// write.
+func BenchmarkServerMissAdaptive(b *testing.B) {
+	var bodies [][]byte
+	for _, spec := range missAdaptiveSpecs() {
+		bodies = append(bodies, wire.EncodeRunSpec(spec))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := server.New(server.Config{CacheBytes: 256 << 10, Logger: quietLogger()})
+		for _, body := range bodies {
+			w := &discardResponse{header: http.Header{}, status: http.StatusOK}
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
+			if w.status != http.StatusOK {
+				b.Fatalf("status %d", w.status)
+			}
+		}
+		if misses := s.Stats().Cache.Misses; misses != int64(len(bodies)) {
+			b.Fatalf("%d cache misses, want %d", misses, len(bodies))
+		}
+	}
+}
+
 // TestRunHitAllocationBound: a /v1/run hit on the ~2 MB entry allocates
 // under 64 KiB — the frame head and request bookkeeping, never a copy of
 // the stored payload.

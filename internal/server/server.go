@@ -95,13 +95,9 @@ const (
 	cacheFull    byte = 1
 )
 
-// fullEntry builds the cache value of a /v1/run result.
-func fullEntry(digest string, result []byte) []byte {
-	val := make([]byte, 0, 1+len(digest)+len(result))
-	val = append(val, cacheFull)
-	val = append(val, digest...)
-	return append(val, result...)
-}
+// fullHead is the length of a full cache value's head: the tag and the
+// digest.
+const fullHead = 1 + wire.DigestLen
 
 // entryResult returns the result payload of a cache value of either
 // richness, or nil when the value is too short to hold one.
@@ -111,7 +107,7 @@ func entryResult(val []byte) []byte {
 	}
 	head := 1
 	if val[0] == cacheFull {
-		head += wire.DigestLen
+		head = fullHead
 	}
 	if len(val) < head {
 		return nil
@@ -285,7 +281,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			}
 			s.serveRun(w, r, runResponse{
 				spec: spec, stats: &stats, outcome: outcome,
-				digest: string(val[1 : 1+wire.DigestLen]), cached: true,
+				digest: string(val[1:fullHead]), cached: true,
 				result: result,
 			})
 			return
@@ -304,23 +300,25 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		fail(w, execStatus(err), "execute %q: %v", spec.Label, err)
 		return
 	}
-	resp := runResponse{spec: spec, stats: &report.Stats, outcome: report.Outcome, digest: report.Digest()}
-	// The result payload is the cache value's body and the binary
-	// response's; with the cache off, a JSON response needs neither.
-	if s.results != nil || !wantsJSON(r) {
-		resp.result = wire.EncodeResultPayload(report)
-	}
+	// The result payload is encoded once, behind room for a full cache
+	// value's head, and the digest is hashed from it: the value stored is
+	// that buffer, and the binary response's result is its tail.
+	val, digest := wire.EncodeResultEntry(report, fullHead)
+	val[0] = cacheFull
+	copy(val[1:fullHead], digest)
 	if s.results != nil {
-		s.results.Put(key, fullEntry(resp.digest, resp.result))
+		s.results.Put(key, val)
 	}
-	s.serveRun(w, r, resp)
+	s.serveRun(w, r, runResponse{
+		spec: spec, stats: &report.Stats, outcome: report.Outcome,
+		digest: digest, result: val[fullHead:],
+	})
 }
 
 // runResponse is what a /v1/run response and its log record need, from a
 // fresh execution or a cache hit alike. result is the binary body's
-// result payload — a cache entry's own bytes on a hit, which is why it
-// is only ever read — and is nil for a JSON response the cache does not
-// need.
+// result payload — a cache value's own bytes, on a hit and on a miss
+// alike, which is why it is only ever read.
 type runResponse struct {
 	spec    wire.RunSpec
 	stats   *engine.RunStats

@@ -77,6 +77,27 @@ func TestEncodeRunReportForSpecAllocatesOnce(t *testing.T) {
 	}
 }
 
+// TestEncodeResultEntryAllocation: encoding a ~2 MB result behind a
+// cache value's head and hashing its digest allocates the entry and at
+// most 64 KiB besides — the transcript is never encoded a second time
+// to be hashed.
+func TestEncodeResultEntryAllocation(t *testing.T) {
+	reports, err := largeReports()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := reports[0] // agm-forest, n = 100
+	const room = 1 + DigestLen
+	entry, _ := EncodeResultEntry(r, room)
+	if len(entry) < 1<<20 {
+		t.Fatalf("entry is %d bytes, want a result of about 2 MB", len(entry))
+	}
+	perRun := bytesPerRun(5, func() { sinkFrame, _ = EncodeResultEntry(r, room) })
+	if limit := uint64(len(entry)) + 64<<10; perRun > limit {
+		t.Fatalf("EncodeResultEntry allocates %d bytes for a %d-byte entry, want at most %d", perRun, len(entry), limit)
+	}
+}
+
 // TestDecodeTranscriptAllocsIndependentOfLength: decoding costs the same
 // number of allocations, and the same number of bytes, for 1 KB and
 // 64 KB messages of the same shape — no message is copied out of the
@@ -114,6 +135,7 @@ func TestFramesSizedExactly(t *testing.T) {
 	}
 	items := ExecuteBatch(context.Background(), &engine.Engine{Workers: 1}, specs[:3])
 	result := EncodeResultPayload(report)
+	entry, _ := EncodeResultEntry(report, 1+DigestLen)
 	for name, out := range map[string][]byte{
 		"run-spec":      EncodeRunSpec(specs[0]),
 		"batch-spec":    EncodeBatchSpec(specs),
@@ -126,6 +148,7 @@ func TestFramesSizedExactly(t *testing.T) {
 		"summary":       EncodeResultSummary(&report.Stats, report.Outcome),
 		"report-reused": EncodeRunReportForSpec(specs[3], result),
 		"report-head":   RunReportHead(specs[3], len(result)),
+		"result-entry":  entry,
 	} {
 		if len(out) != cap(out) {
 			t.Errorf("%s: %d bytes written into a %d-byte buffer", name, len(out), cap(out))

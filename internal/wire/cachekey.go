@@ -45,11 +45,32 @@ func SpecCacheKey(s RunSpec) string {
 // report — stats, outcome, transcript — the value a result cache
 // stores under SpecCacheKey.
 func EncodeResultPayload(r *RunReport) []byte {
+	payload, _ := encodeResult(r, 0)
+	return payload
+}
+
+// EncodeResultEntry is EncodeResultPayload behind room leading zero
+// bytes, for a caller to fill with the head of a cache value, in one
+// allocation. It also returns r.Digest(), hashed from the transcript
+// section of that payload behind the section's frame header, so a fresh
+// result's transcript is encoded once for its digest, its cache entry
+// and its response.
+func EncodeResultEntry(r *RunReport, room int) (entry []byte, digest string) {
+	entry, transcriptAt := encodeResult(r, room)
+	return entry, frameDigest(kindTranscript, entry[transcriptAt:])
+}
+
+// encodeResult writes r's result payload after room zero bytes into a
+// buffer allocated at exactly that size, and returns it with the offset
+// at which the payload's transcript section starts.
+func encodeResult(r *RunReport, room int) (buf []byte, transcriptAt int) {
 	size := enc{sizing: true}
-	appendResultPayload(&size, r)
-	e := size.payload()
+	appendResultSummary(&size, &r.Stats, r.Outcome)
+	transcriptAt = room + size.n
+	appendTranscriptPayload(&size, r.Transcript)
+	e := enc{b: make([]byte, room, room+size.n)}
 	appendResultPayload(&e, r)
-	return e.b
+	return e.b, transcriptAt
 }
 
 func appendResultPayload(e *enc, r *RunReport) {

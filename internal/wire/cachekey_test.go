@@ -103,6 +103,30 @@ func TestRunReportHeadMatchesFrame(t *testing.T) {
 	}
 }
 
+// TestResultEntryMatchesPayloadAndDigest: for every smoke spec's result,
+// EncodeResultEntry's bytes behind its room are EncodeResultPayload's,
+// the room is zero, and its digest is the report's own Digest — the
+// digest hashed from the payload's transcript section is the digest of
+// the transcript frame.
+func TestResultEntryMatchesPayloadAndDigest(t *testing.T) {
+	for _, spec := range SmokeSpecs(1) {
+		report, err := ExecuteSpec(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, want := EncodeResultPayload(report), report.Digest()
+		for _, room := range []int{0, 1 + DigestLen} {
+			entry, digest := EncodeResultEntry(report, room)
+			if !bytes.Equal(entry[:room], make([]byte, room)) || !bytes.Equal(entry[room:], payload) {
+				t.Errorf("%s: entry with %d bytes of room is not the room then the result payload", spec.Label, room)
+			}
+			if digest != want {
+				t.Errorf("%s: entry digest %s, report digest %s", spec.Label, digest, want)
+			}
+		}
+	}
+}
+
 // TestResultSummaryPrefixDecode: a summary decodes from both the
 // summary form and as a prefix of the full result payload.
 func TestResultSummaryPrefixDecode(t *testing.T) {

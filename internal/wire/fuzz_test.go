@@ -5,7 +5,10 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/bitio"
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/rng"
 )
 
 // FuzzWireDecodeRunSpec asserts the RunSpec decoder never panics on
@@ -140,6 +143,89 @@ func FuzzWireDecodeRunStats(f *testing.F) {
 		}
 		if !bytes.Equal(EncodeRunStats(s), data) {
 			t.Fatalf("accepted non-canonical run-stats encoding: %x", data)
+		}
+	})
+}
+
+// FuzzAdaptiveFeedback: a multi-round protocol's later-round players
+// decode whatever the referee's feedback lane holds, once per engine
+// shard, so the lane's bits are hostile input to that decode. For each
+// of mm-tworound, mis-tworound and semistream-matching it seals round 0
+// of a small graph, seals the fuzzed bits (data, less trim%8 bits from
+// the end) as the feedback after it, and requires BroadcastBlock over
+// the whole shard to write, view for view, the bits per-view Broadcast
+// writes in round 1 — with no panic on any input.
+func FuzzAdaptiveFeedback(f *testing.F) {
+	g, err := BuildGraph(GraphSpec{Kind: "gnp", N: 24, P: 0.3, Seed: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	views := core.Views(g)
+	coins := rng.NewPublicCoins(7)
+	type adaptive interface {
+		engine.BlockBroadcaster
+		engine.Adaptive
+	}
+	type adaptiveCase struct {
+		name   string
+		p      adaptive
+		round0 []*bitio.Writer
+	}
+	var cases []adaptiveCase
+	for _, name := range []string{"mm-tworound", "mis-tworound", "semistream-matching"} {
+		build, err := lookupProtocol(name)
+		if err != nil {
+			f.Fatal(err)
+		}
+		p, ok := build(g).(adaptive)
+		if !ok {
+			f.Fatalf("%s: no block form or no feedback", name)
+		}
+		round0 := make([]*bitio.Writer, len(views))
+		if _, err := p.BroadcastBlock(0, views, engine.NewTranscript(), coins, round0); err != nil {
+			f.Fatal(err)
+		}
+		cases = append(cases, adaptiveCase{name, p, round0})
+		// Seed with the referee's own feedback, which every player
+		// decodes cleanly.
+		tr := engine.NewTranscript()
+		tr.SealRound(round0)
+		fb, err := p.Feedback(0, tr, coins)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.Clone(fb.Bytes()), uint8(-fb.Len()&7))
+		bitio.Release(fb)
+	}
+	f.Add([]byte{}, uint8(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint8(3))
+	f.Add([]byte{0x05, 0x00}, uint8(0))
+	f.Fuzz(func(t *testing.T, data []byte, trim uint8) {
+		nbit := max(0, 8*len(data)-int(trim%8))
+		for _, c := range cases {
+			fb := &bitio.Writer{}
+			fb.WriteBytes(data[:nbit/8])
+			if rem := nbit % 8; rem != 0 {
+				fb.WriteUint(uint64(data[nbit/8]), rem)
+			}
+			tr := engine.NewTranscript()
+			tr.SealRound(c.round0)
+			tr.SealFeedback(fb)
+			block := make([]*bitio.Writer, len(views))
+			if _, err := c.p.BroadcastBlock(1, views, tr, coins, block); err != nil {
+				t.Fatalf("%s: BroadcastBlock: %v", c.name, err)
+			}
+			for i, view := range views {
+				one, err := c.p.Broadcast(1, view, tr, coins)
+				if err != nil {
+					t.Fatalf("%s: Broadcast(%d): %v", c.name, view.ID, err)
+				}
+				if one.Len() != block[i].Len() || !bytes.Equal(one.Bytes(), block[i].Bytes()) {
+					t.Fatalf("%s: player %d wrote %d bits in the block, %d alone", c.name, view.ID, block[i].Len(), one.Len())
+				}
+				bitio.Release(one)
+				bitio.Release(block[i])
+			}
 		}
 	})
 }

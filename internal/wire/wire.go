@@ -159,9 +159,15 @@ func (e *enc) frame(kind byte) enc { return frameHeader(kind, e.n, e.n) }
 // the enc that appends what follows it.
 func frameHeader(kind byte, payloadLen, room int) enc {
 	buf := make([]byte, 0, 6+uvarintLen(uint64(payloadLen))+room)
-	buf = append(buf, magic[:]...)
-	buf = append(buf, Version, kind)
-	return enc{b: binary.AppendUvarint(buf, uint64(payloadLen))}
+	return enc{b: appendFrameHeader(buf, kind, payloadLen)}
+}
+
+// appendFrameHeader appends the header of a kind frame declaring
+// payloadLen payload bytes.
+func appendFrameHeader(dst []byte, kind byte, payloadLen int) []byte {
+	dst = append(dst, magic[:]...)
+	dst = append(dst, Version, kind)
+	return binary.AppendUvarint(dst, uint64(payloadLen))
 }
 
 // payload ends a sizing pass for a bare payload, one with no frame header.
@@ -494,4 +500,15 @@ const DigestLen = 2 * sha256.Size
 func TranscriptDigest(t *engine.Transcript) string {
 	sum := sha256.Sum256(EncodeTranscript(t))
 	return hex.EncodeToString(sum[:])
+}
+
+// frameDigest is the hex SHA-256 of the kind frame around payload,
+// hashed without assembling the frame.
+func frameDigest(kind byte, payload []byte) string {
+	var head [6 + binary.MaxVarintLen64]byte
+	h := sha256.New()
+	h.Write(appendFrameHeader(head[:0], kind, len(payload)))
+	h.Write(payload)
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
