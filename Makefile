@@ -34,8 +34,9 @@ all: check
 # registry drift guard, then the benchmark module's own vet and tests,
 # then the block-vs-scalar performance guard (the allocation-regression
 # tests — TestUpdateBlockZeroAlloc, TestBlockKernelsZeroAlloc,
-# TestSketchVertexAllocs, and the wire codec's Test*Alloc* guards —
-# already run inside `test`).
+# TestSketchVertexAllocs for a warm AGM sketch appended into a writer
+# with room, the mst and sparsify message-size bounds, and the wire
+# codec's Test*Alloc* guards — already run inside `test`).
 check: test test-race lint-registry lbcalc-smoke perfbench-test bench-guard
 
 # bench-guard fails when the columnar block path regresses by more than
@@ -78,8 +79,9 @@ test-race:
 		./internal/cache/... ./internal/cluster/... ./internal/dynstream/... \
 		./internal/agm/... ./internal/l0/...
 
-# fuzz-smoke gives each fuzz target a short budget — the same smoke CI
-# runs (.github/workflows/ci.yml).
+# fuzz-smoke gives each fuzz target a short budget. It is the one list
+# of fuzz targets: CI's fuzz job runs this target
+# (.github/workflows/ci.yml).
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzReaderNeverPanics -fuzztime=30s ./internal/bitio
 	go test -run='^$$' -fuzz=FuzzTranscriptCorruption -fuzztime=30s ./internal/faults

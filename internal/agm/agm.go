@@ -98,12 +98,12 @@ func (p *ForestProtocol) Name() string { return "agm-spanning-forest" }
 
 // Sketch implements core.Protocol: the vertex serializes one ℓ₀-sketch of
 // its incidence vector per (round, rep), plus — under BackupReps — the
-// checksummed backup tail described on Config. It runs SketchBlock's
-// code over one lane into a pooled writer (block.go).
+// checksummed backup tail described on Config. It is AppendSketch over a
+// fresh writer (block.go).
 func (p *ForestProtocol) Sketch(view core.VertexView, coins *rng.PublicCoins) (*bitio.Writer, error) {
-	views, out := [1]core.VertexView{view}, [1]*bitio.Writer{}
-	p.sketch(views[:], coins, out[:], bitio.NewPooledWriter)
-	return out[0], nil
+	w := &bitio.Writer{}
+	p.AppendSketch(w, view, coins)
+	return w, nil
 }
 
 // Decode implements core.Protocol: Borůvka over merged sketches, read

@@ -3,18 +3,21 @@ package agm
 // Sketching for the AGM protocols, a chunk of up to blockLanes vertices
 // at a time in an l0.Bank: each vertex's ±1 incidence updates are
 // gathered once per chunk and replayed against every spec through
-// Spec.UpdateBlock, into writers pre-grown to the encoding's exact fixed
-// size, so serialization never reallocates.
+// Spec.UpdateBlock, appended to writers grown once by the encoding's
+// exact fixed size, so serialization never reallocates.
 //
-// The entry points differ only in the writers they hand out. SketchBlock
-// runs a whole engine shard into ownership-transferring writers
-// (bitio.NewOwnedWriter), whose buffers sealing steals instead of
-// copying. The per-vertex Sketch runs one lane into a pooled writer
-// (bitio.NewPooledWriter), which the engine copies at seal and releases
-// for the next vertex, so a warm Sketch allocates nothing.
+// The entry points differ only in the writers they append to.
+// SketchBlock runs a whole engine shard into fresh writers, whose
+// buffers sealing takes. AppendSketch runs one lane into the caller's
+// writer, so a protocol that concatenates several sketches into one
+// message (mst, sparsify) writes each straight into it, and a warm
+// AppendSketch into a writer with room allocates nothing. The per-vertex
+// Sketch is AppendSketch over a fresh writer.
 //
-// block_test.go proves both emit the bits of the scalar reference
-// sketcher in reference_test.go for every protocol.
+// block_test.go proves SketchBlock and Sketch emit the bits of the
+// scalar reference sketcher in reference_test.go for every protocol; the
+// mst-weight and agm-cut-sparsifier golden fixtures pin AppendSketch at
+// unaligned offsets.
 
 import (
 	"fmt"
@@ -49,14 +52,12 @@ type blockArena struct {
 
 var arenaPool = sync.Pool{New: func() any { return &blockArena{bank: l0.NewBank()} }}
 
-// begin starts one chunk: it fills ws with writers from newWriter, each
-// pre-grown to msgBits, and gathers every vertex's incidence updates
-// once, with the ±1 of the incidence vector encoded as a sign flag.
-func (a *blockArena) begin(n int, chunk []core.VertexView, ws []*bitio.Writer, msgBits int, newWriter func() *bitio.Writer) {
-	for i := range ws {
-		w := newWriter()
+// begin starts one chunk: it grows every writer in ws by msgBits and
+// gathers every vertex's incidence updates once, with the ±1 of the
+// incidence vector encoded as a sign flag.
+func (a *blockArena) begin(n int, chunk []core.VertexView, ws []*bitio.Writer, msgBits int) {
+	for _, w := range ws {
 		w.Grow(msgBits)
-		ws[i] = w
 	}
 	a.upd.Reset()
 	for i, view := range chunk {
@@ -100,9 +101,10 @@ func stackBits(sps []l0.Spec) int {
 	return bits
 }
 
-// sketch writes the forest message of every view into out: the primary
-// stack, and under BackupReps the checksums and backup stack.
-func (p *ForestProtocol) sketch(views []core.VertexView, coins *rng.PublicCoins, out []*bitio.Writer, newWriter func() *bitio.Writer) {
+// sketch appends the forest message of every view to the writer at the
+// same index of out: the primary stack, and under BackupReps the
+// checksums and backup stack.
+func (p *ForestProtocol) sketch(views []core.VertexView, coins *rng.PublicCoins, out []*bitio.Writer) {
 	if len(views) == 0 {
 		return
 	}
@@ -110,17 +112,16 @@ func (p *ForestProtocol) sketch(views []core.VertexView, coins *rng.PublicCoins,
 	cfg := p.cfg.withDefaults(n)
 	primary := specs(n, cfg, coins)
 	var backup []l0.Spec
-	msgBits := stackBits(primary)
 	if cfg.BackupReps > 0 {
 		backup = backupSpecs(n, cfg, coins)
-		msgBits += 32 + stackBits(backup) + 32
 	}
+	msgBits := p.SketchBits(n, coins)
 	a := arenaPool.Get().(*blockArena)
 	defer arenaPool.Put(a)
 	for lo := 0; lo < len(views); lo += blockLanes {
 		hi := min(lo+blockLanes, len(views))
 		ws := out[lo:hi]
-		a.begin(n, views[lo:hi], ws, msgBits, newWriter)
+		a.begin(n, views[lo:hi], ws, msgBits)
 		if cfg.BackupReps > 0 {
 			a.writeStack(ws, primary, true)
 			for i, w := range ws {
@@ -139,10 +140,36 @@ func (p *ForestProtocol) sketch(views []core.VertexView, coins *rng.PublicCoins,
 	}
 }
 
+// SketchBits returns the fixed length in bits of one vertex's sketch on
+// an n-vertex graph under coins.
+func (p *ForestProtocol) SketchBits(n int, coins *rng.PublicCoins) int {
+	cfg := p.cfg.withDefaults(n)
+	bits := stackBits(specs(n, cfg, coins))
+	if cfg.BackupReps > 0 {
+		bits += 32 + stackBits(backupSpecs(n, cfg, coins)) + 32
+	}
+	return bits
+}
+
+// AppendSketch appends the bits Sketch(view, coins) returns to w.
+func (p *ForestProtocol) AppendSketch(w *bitio.Writer, view core.VertexView, coins *rng.PublicCoins) {
+	views, out := [1]core.VertexView{view}, [1]*bitio.Writer{w}
+	p.sketch(views[:], coins, out[:])
+}
+
 // SketchBlock implements core.BlockSketcher for the spanning forest.
 func (p *ForestProtocol) SketchBlock(views []core.VertexView, coins *rng.PublicCoins, out []*bitio.Writer) (int, error) {
-	p.sketch(views, coins, out, bitio.NewOwnedWriter)
+	p.sketch(views, coins, newWriters(out))
 	return 0, nil
+}
+
+// newWriters points every slot of out at a fresh empty writer and
+// returns out.
+func newWriters(out []*bitio.Writer) []*bitio.Writer {
+	for i := range out {
+		out[i] = &bitio.Writer{}
+	}
+	return out
 }
 
 // SketchBlock implements core.BlockSketcher by delegating to the forest
@@ -151,9 +178,9 @@ func (p *ComponentsProtocol) SketchBlock(views []core.VertexView, coins *rng.Pub
 	return p.forest.SketchBlock(views, coins, out)
 }
 
-// sketch writes the skeleton message of every view into out: the K
-// groups' stacks in group order.
-func (p *SkeletonProtocol) sketch(views []core.VertexView, coins *rng.PublicCoins, out []*bitio.Writer, newWriter func() *bitio.Writer) error {
+// sketch appends the skeleton message of every view to the writer at
+// the same index of out: the K groups' stacks in group order.
+func (p *SkeletonProtocol) sketch(views []core.VertexView, coins *rng.PublicCoins, out []*bitio.Writer) error {
 	if p.K < 1 {
 		return fmt.Errorf("agm: skeleton needs K >= 1, got %d", p.K)
 	}
@@ -168,7 +195,7 @@ func (p *SkeletonProtocol) sketch(views []core.VertexView, coins *rng.PublicCoin
 	for lo := 0; lo < len(views); lo += blockLanes {
 		hi := min(lo+blockLanes, len(views))
 		ws := out[lo:hi]
-		a.begin(n, views[lo:hi], ws, msgBits, newWriter)
+		a.begin(n, views[lo:hi], ws, msgBits)
 		for g := 0; g < p.K; g++ {
 			a.writeStack(ws, groupStack(n, cfg, coins, g), false)
 		}
@@ -176,7 +203,13 @@ func (p *SkeletonProtocol) sketch(views []core.VertexView, coins *rng.PublicCoin
 	return nil
 }
 
+// AppendSketch appends the bits Sketch(view, coins) returns to w.
+func (p *SkeletonProtocol) AppendSketch(w *bitio.Writer, view core.VertexView, coins *rng.PublicCoins) error {
+	views, out := [1]core.VertexView{view}, [1]*bitio.Writer{w}
+	return p.sketch(views[:], coins, out[:])
+}
+
 // SketchBlock implements core.BlockSketcher for the k-forest skeleton.
 func (p *SkeletonProtocol) SketchBlock(views []core.VertexView, coins *rng.PublicCoins, out []*bitio.Writer) (int, error) {
-	return 0, p.sketch(views, coins, out, bitio.NewOwnedWriter)
+	return 0, p.sketch(views, coins, newWriters(out))
 }

@@ -71,19 +71,17 @@ func TestSketchBlockMatchesSketch(t *testing.T) {
 						t.Fatalf("vertex %d: %s wrote %d bits that differ from the reference's %d", v, got.path, got.w.Len(), want.Len())
 					}
 				}
-				bitio.Release(one)
-				bitio.Release(want)
 			}
 		})
 	}
 }
 
-// TestSketchVertexAllocs: with the spec cache, the arena pool and the
-// writer pool warm, a per-vertex forest-family Sketch allocates nothing.
-// Handing out owned writers, which the engine steals instead of
-// releasing, would cost an allocation per vertex and fail this test.
-// The skeleton is left out: each call derives its groups' coin nodes
-// (rng.PublicCoins.DeriveIndex), one small heap object per group.
+// TestSketchVertexAllocs: with the spec cache and the arena pool warm,
+// appending a forest-family sketch into a writer with room allocates
+// nothing, which is what lets mst and sparsify sketch straight into
+// their pre-grown messages. The skeleton is left out: each call derives
+// its groups' coin nodes (rng.PublicCoins.DeriveIndex), one small heap
+// object per group.
 func TestSketchVertexAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -93,18 +91,23 @@ func TestSketchVertexAllocs(t *testing.T) {
 	coins := rng.NewPublicCoins(37)
 	cases := sketchCases()
 	for _, name := range []string{"forest", "forest-backup", "components"} {
-		c := cases[name]
+		var f *ForestProtocol
+		switch p := cases[name].p.(type) {
+		case *ForestProtocol:
+			f = p
+		case *ComponentsProtocol:
+			f = p.forest // the components sketch is the forest sketch
+		}
+		w := &bitio.Writer{}
+		w.Grow(f.SketchBits(g.N(), coins))
 		v := 0
 		allocs := testing.AllocsPerRun(50, func() {
-			w, err := c.p.Sketch(views[v%len(views)], coins)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bitio.Release(w)
+			w.Reset()
+			f.AppendSketch(w, views[v%len(views)], coins)
 			v++
 		})
 		if allocs != 0 {
-			t.Errorf("%s: %v allocations per Sketch, want 0", name, allocs)
+			t.Errorf("%s: %v allocations per AppendSketch, want 0", name, allocs)
 		}
 	}
 }

@@ -44,7 +44,6 @@ func sketchAll(t testing.TB, p sketcher, g *graph.Graph, coins *rng.PublicCoins)
 			t.Fatal(err)
 		}
 		msgs[v] = message{buf: append([]byte(nil), w.Bytes()...), nbit: w.Len()}
-		bitio.Release(w)
 	}
 	return msgs
 }
@@ -63,7 +62,7 @@ func readers(msgs []message) []*bitio.Reader {
 type faultPlan func(r *rand.Rand, msgs []message)
 
 func damage(r *rand.Rand, m message, kind int) message {
-	w := bitio.NewOwnedWriterFrom(append([]byte(nil), m.buf...), m.nbit)
+	w := bitio.NewWriterFrom(append([]byte(nil), m.buf...), m.nbit)
 	switch kind {
 	case 0: // drop
 		return message{}
@@ -314,7 +313,7 @@ func FuzzAGMForestDecode(f *testing.F) {
 		msgs := append([]message(nil), clean...)
 		v := int(vertex) % n
 		m := msgs[v]
-		w := bitio.NewOwnedWriterFrom(append([]byte(nil), m.buf...), m.nbit)
+		w := bitio.NewWriterFrom(append([]byte(nil), m.buf...), m.nbit)
 		if ones > 0 {
 			k := int(ones-1) % (m.nbit / 61)
 			for b := 61 * k; b < 61*k+61; b++ {
@@ -327,7 +326,7 @@ func FuzzAGMForestDecode(f *testing.F) {
 			w.FlipBit((int(flips[i]) | int(flips[i+1])<<8) % m.nbit)
 		}
 		m = prefix(message{buf: w.Bytes(), nbit: w.Len()}, m.nbit-int(cut)%(m.nbit+1))
-		tw := bitio.NewOwnedWriterFrom(m.buf, m.nbit)
+		tw := bitio.NewWriterFrom(m.buf, m.nbit)
 		tw.WriteBytes(trail)
 		msgs[v] = message{buf: tw.Bytes(), nbit: tw.Len()}
 		if !sameForestDecode(t, cfg, n, msgs, coins) {

@@ -178,8 +178,9 @@ func refWriteIncidenceStack(w *bitio.Writer, sps []l0.Spec, view core.VertexView
 
 // refForestSketch is ForestProtocol.Sketch.
 func refForestSketch(cfg Config, view core.VertexView, coins *rng.PublicCoins) *bitio.Writer {
+	w := &bitio.Writer{}
+	w.Grow(NewSpanningForest(cfg).SketchBits(view.N, coins))
 	cfg = cfg.withDefaults(view.N)
-	w := bitio.NewPooledWriter()
 	if cfg.BackupReps > 0 {
 		pcs := refWriteIncidenceStack(w, specs(view.N, cfg, coins), view, true)
 		w.WriteUint(uint64(pcs), 32)
@@ -193,7 +194,8 @@ func refForestSketch(cfg Config, view core.VertexView, coins *rng.PublicCoins) *
 
 // refSkeletonSketch is SkeletonProtocol.Sketch.
 func refSkeletonSketch(p *SkeletonProtocol, view core.VertexView, coins *rng.PublicCoins) *bitio.Writer {
-	w := bitio.NewPooledWriter()
+	w := &bitio.Writer{}
+	w.Grow(p.SketchBits(view.N, coins))
 	_, groups := p.groupSpecs(view.N, coins)
 	for _, sps := range groups {
 		refWriteIncidenceStack(w, sps, view, false)

@@ -63,14 +63,14 @@ func (p *SkeletonProtocol) SketchBits(n int, coins *rng.PublicCoins) int {
 	return p.K * stackBits(groupStack(n, p.Forest.withDefaults(n), coins, 0))
 }
 
-// Sketch implements core.Protocol. It runs SketchBlock's code over one
-// lane into a pooled writer (block.go).
+// Sketch implements core.Protocol. It is AppendSketch over a fresh
+// writer (block.go).
 func (p *SkeletonProtocol) Sketch(view core.VertexView, coins *rng.PublicCoins) (*bitio.Writer, error) {
-	views, out := [1]core.VertexView{view}, [1]*bitio.Writer{}
-	if err := p.sketch(views[:], coins, out[:], bitio.NewPooledWriter); err != nil {
+	w := &bitio.Writer{}
+	if err := p.AppendSketch(w, view, coins); err != nil {
 		return nil, err
 	}
-	return out[0], nil
+	return w, nil
 }
 
 // Decode implements core.Protocol: validate every group's stacks, then

@@ -23,13 +23,6 @@ var ErrShortMessage = errors.New("bitio: read past end of message")
 type Writer struct {
 	buf  []byte
 	nbit int
-	// pooled marks writers drawn from the scratch pool (pool.go), so
-	// Release recycles exactly those and is a no-op for plain values.
-	pooled bool
-	// owned marks writers whose buffer the producer relinquishes at seal
-	// time (NewOwnedWriter/Detach): the engine's transcript may steal it
-	// instead of copying. Plain and pooled writers are never stolen from.
-	owned bool
 }
 
 // Len returns the number of bits written so far.
@@ -134,7 +127,7 @@ func (w *Writer) WriteUint(v uint64, width int) {
 }
 
 // WriteUvarint appends v using a self-delimiting Elias-gamma-style code:
-// the bit length of v+1 in unary, then the value. Costs 2*floor(log2(v+1))+1
+// the bit length of v+1 in unary, then the value. Costs UvarintWidth(v)
 // bits.
 func (w *Writer) WriteUvarint(v uint64) {
 	n := bits.Len64(v + 1) // >= 1
@@ -157,19 +150,6 @@ func (w *Writer) FlipBit(pos int) {
 
 // WriteBytes appends the given bytes verbatim (8 bits per byte).
 func (w *Writer) WriteBytes(p []byte) { w.appendBits(p, 8*len(p)) }
-
-// Append appends every bit of o to w, without any padding or framing: the
-// result is the exact bit string "w then o". Protocols that concatenate
-// independently-produced sub-sketches into one message (e.g. one forest
-// sketch per weight threshold) use it to keep the combined length equal to
-// the sum of the parts.
-func (w *Writer) Append(o *Writer) {
-	src := o.Bytes()
-	if o == w {
-		src = append([]byte(nil), src...) // the merge must not read bytes it has rewritten
-	}
-	w.appendBits(src, o.Len())
-}
 
 // Reader consumes a bit string produced by Writer.
 type Reader struct {
@@ -261,6 +241,10 @@ func (r *Reader) ReadBytes(n int) ([]byte, error) {
 	r.readBytes(out)
 	return out, nil
 }
+
+// UvarintWidth returns the number of bits WriteUvarint spends on v,
+// 2*floor(log2(v+1))+1.
+func UvarintWidth(v uint64) int { return 2*bits.Len64(v+1) - 1 }
 
 // UintWidth returns the number of bits needed to represent values in
 // [0, n-1]; it is 0 when n <= 1.

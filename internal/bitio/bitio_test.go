@@ -217,8 +217,8 @@ func TestAppendConcatenatesExactBits(t *testing.T) {
 			b.WriteBit(bit)
 		}
 		var w Writer
-		w.Append(&a)
-		w.Append(&b)
+		w.appendBits(a.Bytes(), a.Len())
+		w.appendBits(b.Bytes(), b.Len())
 		if w.Len() != len(abits)+len(bbits) {
 			return false
 		}
@@ -238,7 +238,7 @@ func TestAppendConcatenatesExactBits(t *testing.T) {
 
 func TestAppendUnalignedOffsets(t *testing.T) {
 	// Cross every source length against every destination offset around
-	// the 64-bit chunk boundary Append reads in.
+	// the 64-bit chunk boundary appendBits reads in.
 	for dstOff := 0; dstOff < 9; dstOff++ {
 		for srcLen := 0; srcLen < 140; srcLen++ {
 			var src Writer
@@ -249,7 +249,7 @@ func TestAppendUnalignedOffsets(t *testing.T) {
 			for i := 0; i < dstOff; i++ {
 				w.WriteBit(true)
 			}
-			w.Append(&src)
+			w.appendBits(src.Bytes(), src.Len())
 			if w.Len() != dstOff+srcLen {
 				t.Fatalf("off=%d len=%d: Len()=%d", dstOff, srcLen, w.Len())
 			}

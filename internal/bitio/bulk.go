@@ -3,12 +3,12 @@ package bitio
 import "encoding/binary"
 
 // Fixed-width bulk kernels. Sketch messages are long runs of 61-bit
-// field elements and whole sub-messages copied into larger ones; moving
-// them one byte per step (ReadUint, WriteUint) costs a loop iteration and
-// a bounds check per byte. These kernels move the same LSB-first bits a
-// word at a time and are bit-identical to the per-value calls they
-// replace (bulk_test.go checks them against those loops at every start
-// offset mod 8).
+// field elements, and codecs move whole byte runs; moving them one byte
+// per step (ReadUint, WriteUint) costs a loop iteration and a bounds
+// check per byte. These kernels move the same LSB-first bits a word at a
+// time and are bit-identical to the per-value calls they replace
+// (bulk_test.go checks them against those loops at every start offset
+// mod 8).
 
 // Uint61Width is the packed width of one element of GF(2^61 − 1), the
 // field every ℓ₀ sketch cell lives in.

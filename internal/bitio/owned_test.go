@@ -114,10 +114,7 @@ func TestResetReuseAfterDirtyBuffer(t *testing.T) {
 // TestOwnedDetach pins the ownership-transfer contract: Detach returns
 // exactly the written bytes and bit count, and empties the writer.
 func TestOwnedDetach(t *testing.T) {
-	w := NewOwnedWriter()
-	if !w.Owned() {
-		t.Fatal("NewOwnedWriter not owned")
-	}
+	w := &Writer{}
 	w.Grow(1000) // over-grown: Detach must still trim to written bytes
 	w.WriteUint(0x1234, 13)
 	want := append([]byte(nil), w.Bytes()...)
@@ -125,29 +122,29 @@ func TestOwnedDetach(t *testing.T) {
 	if nbit != 13 || !bytes.Equal(buf, want) || len(buf) != 2 {
 		t.Fatalf("Detach = (%x, %d), want (%x, 13) with 2 bytes", buf, nbit, want)
 	}
-	if w.Owned() || w.Len() != 0 || len(w.Bytes()) != 0 {
-		t.Fatal("Detach left the writer non-empty or owned")
+	if w.Len() != 0 || len(w.Bytes()) != 0 {
+		t.Fatal("Detach left the writer non-empty")
 	}
-	// Release must be a no-op for owned writers (they are not pooled).
-	v := NewOwnedWriter()
+	// Release is a no-op.
+	v := &Writer{}
 	v.WriteBit(true)
 	Release(v)
 	if v.Len() != 1 {
-		t.Fatal("Release mutated an owned writer")
+		t.Fatal("Release mutated a writer")
 	}
 }
 
-// TestNewOwnedWriterFrom pins the adopting constructor: the writer reads
+// TestNewWriterFrom pins the adopting constructor: the writer reads
 // back the adopted bits, extends them like any writer, detaches the very
 // buffer it adopted, and rejects buffers of the wrong size or with
 // non-zero padding.
-func TestNewOwnedWriterFrom(t *testing.T) {
+func TestNewWriterFrom(t *testing.T) {
 	ref := &Writer{}
 	ref.WriteUint(0x2b5, 11)
 	buf := append([]byte(nil), ref.Bytes()...)
-	w := NewOwnedWriterFrom(buf, 11)
-	if !w.Owned() || w.Len() != 11 || !bytes.Equal(w.Bytes(), ref.Bytes()) {
-		t.Fatalf("adopted writer = (%x, %d bits, owned %v), want (%x, 11 bits, owned)", w.Bytes(), w.Len(), w.Owned(), ref.Bytes())
+	w := NewWriterFrom(buf, 11)
+	if w.Len() != 11 || !bytes.Equal(w.Bytes(), ref.Bytes()) {
+		t.Fatalf("adopted writer = (%x, %d bits), want (%x, 11 bits)", w.Bytes(), w.Len(), ref.Bytes())
 	}
 	if v, err := ReaderFor(w).ReadUint(11); err != nil || v != 0x2b5 {
 		t.Fatalf("read back %#x, %v; want 0x2b5", v, err)
@@ -157,21 +154,21 @@ func TestNewOwnedWriterFrom(t *testing.T) {
 		t.Fatal("Detach did not hand back the adopted buffer")
 	}
 
-	grown := NewOwnedWriterFrom(append([]byte(nil), ref.Bytes()...), 11)
+	grown := NewWriterFrom(append([]byte(nil), ref.Bytes()...), 11)
 	grown.WriteUint(0x1f, 5)
 	ref.WriteUint(0x1f, 5)
 	if grown.Len() != ref.Len() || !bytes.Equal(grown.Bytes(), ref.Bytes()) {
 		t.Fatal("writing after adoption diverges from a plain writer")
 	}
-	if empty := NewOwnedWriterFrom(nil, 0); empty.Len() != 0 {
+	if empty := NewWriterFrom(nil, 0); empty.Len() != 0 {
 		t.Fatal("empty adoption is not empty")
 	}
 
 	for name, adopt := range map[string]func(){
-		"short":       func() { NewOwnedWriterFrom([]byte{1}, 9) },
-		"long":        func() { NewOwnedWriterFrom([]byte{1, 0}, 8) },
-		"negative":    func() { NewOwnedWriterFrom(nil, -1) },
-		"bad-padding": func() { NewOwnedWriterFrom([]byte{0x80}, 7) },
+		"short":       func() { NewWriterFrom([]byte{1}, 9) },
+		"long":        func() { NewWriterFrom([]byte{1, 0}, 8) },
+		"negative":    func() { NewWriterFrom(nil, -1) },
+		"bad-padding": func() { NewWriterFrom([]byte{0x80}, 7) },
 	} {
 		func() {
 			defer func() {

@@ -223,11 +223,23 @@ func readBody(resp *http.Response) ([]byte, error) {
 // transcript included. The transcript adopts the response body, which
 // nothing else holds.
 func (c *Client) Run(ctx context.Context, spec wire.RunSpec) (*wire.RunReport, error) {
+	_, report, err := c.RunFrame(ctx, spec)
+	return report, err
+}
+
+// RunFrame is Run that also returns the daemon's response frame, which
+// the report's transcript adopts: a relay may write it on as it is but
+// must not modify it.
+func (c *Client) RunFrame(ctx context.Context, spec wire.RunSpec) ([]byte, *wire.RunReport, error) {
 	data, err := c.post(ctx, "/v1/run", wire.EncodeRunSpec(spec))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return wire.DecodeRunReport(data)
+	report, err := wire.DecodeRunReport(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	return data, report, nil
 }
 
 // RunBatch executes specs on the daemon as one batch and returns the

@@ -221,6 +221,14 @@ var errAllBackendsDown = errors.New("cluster: no live backend")
 // the whole sequence is marked down — the dead ones too, since a
 // backend may have recovered between health probes.
 func (co *Coordinator) Run(ctx context.Context, spec wire.RunSpec) (*wire.RunReport, error) {
+	_, report, err := co.run(ctx, spec)
+	return report, err
+}
+
+// run is Run that also returns the serving backend's response frame.
+// The backend's report is decoded only to validate it, so a malformed
+// frame fails over like a dead backend.
+func (co *Coordinator) run(ctx context.Context, spec wire.RunSpec) ([]byte, *wire.RunReport, error) {
 	co.runs.Add(1)
 	seq := co.sequenceFor(spec)
 	// Snapshot aliveness once and try every backend at most once:
@@ -246,27 +254,27 @@ func (co *Coordinator) Run(ctx context.Context, spec wire.RunSpec) (*wire.RunRep
 		if attempt > 0 {
 			co.failovers.Add(1)
 		}
-		report, err := b.c.Run(ctx, spec)
+		frame, report, err := b.c.RunFrame(ctx, spec)
 		if err == nil {
 			b.dispatched.Add(1)
 			co.markUp(b)
-			return report, nil
+			return frame, report, nil
 		}
 		lastErr = err
 		var se *client.StatusError
 		if errors.As(err, &se) && !client.Retryable(se.Code) {
 			// Deterministic failure: every backend answers the same.
-			return nil, err
+			return nil, nil, err
 		}
 		co.markDown(b, err)
 		if ctx.Err() != nil {
-			return nil, lastErr
+			return nil, nil, lastErr
 		}
 	}
 	if lastErr == nil {
 		lastErr = errAllBackendsDown
 	}
-	return nil, fmt.Errorf("%w (last: %v)", errAllBackendsDown, lastErr)
+	return nil, nil, fmt.Errorf("%w (last: %v)", errAllBackendsDown, lastErr)
 }
 
 // RunBatch dispatches a batch: items shard to their owning backends
@@ -395,7 +403,7 @@ func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), co.cfg.Timeout)
 	defer cancel()
-	report, err := co.Run(ctx, spec)
+	frame, report, err := co.run(ctx, spec)
 	if err != nil {
 		status, body := dispatchStatus(err)
 		fail(w, status, "%s", body)
@@ -405,7 +413,9 @@ func (co *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, wire.ReportToJSON(report, false))
 		return
 	}
-	writeFrame(w, wire.EncodeRunReport(report))
+	// The backend's frame already is the response: the determinism
+	// contract makes it the bytes any backend would send.
+	writeFrame(w, frame)
 }
 
 func (co *Coordinator) handleBatch(w http.ResponseWriter, r *http.Request) {

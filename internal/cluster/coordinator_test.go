@@ -198,6 +198,49 @@ func TestCoordinatorResponsesDeclareLength(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRelaysBackendFrame: the coordinator's binary /v1/run
+// body is the backend's own frame, byte for byte, for every smoke spec.
+// The coordinator's request runs the spec on the only backend, which
+// caches it; asking the backend directly then returns the cached frame,
+// wall times included, so the two bodies must be identical.
+func TestCoordinatorRelaysBackendFrame(t *testing.T) {
+	backend := startBackendAt(t, "", server.Config{CacheBytes: 64 << 20})
+	co, err := cluster.New(cluster.Config{
+		Backends:     []string{backend.addr},
+		ProbeTimeout: time.Second,
+		Backoff:      10 * time.Millisecond,
+		Logger:       quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(co)
+	t.Cleanup(front.Close)
+	post := func(url string, spec wire.RunSpec) []byte {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/run", "application/octet-stream", bytes.NewReader(wire.EncodeRunSpec(spec)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", spec.Label, resp.StatusCode, body)
+		}
+		return body
+	}
+	for _, spec := range wire.SmokeSpecs(1) {
+		relayed := post(front.URL, spec)
+		direct := post("http://"+backend.addr, spec)
+		if !bytes.Equal(relayed, direct) {
+			t.Errorf("%s: coordinator sent %d bytes that differ from the backend's %d", spec.Label, len(relayed), len(direct))
+		}
+	}
+}
+
 // TestCoordinatorFailoverMidSweep is the chaos sweep: a seed-derived
 // schedule picks when to kill and when to restart; the victim is the
 // owner of the next spec, so failover is exercised deterministically.

@@ -1,6 +1,7 @@
 package dynstream
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 
@@ -205,8 +206,9 @@ func (p *SemiStream) Feedback(round int, t *engine.Transcript, coins *rng.Public
 	}
 	n := t.Players(round)
 	matching, active := p.refereeState(n, t, round)
-	w := bitio.NewPooledWriter()
 	idWidth := bitio.UintWidth(n)
+	w := &bitio.Writer{}
+	w.Grow(bitio.UvarintWidth(uint64(len(matching))) + 2*len(matching)*idWidth + n)
 	w.WriteUvarint(uint64(len(matching)))
 	for _, e := range matching {
 		w.WriteUint(uint64(e.U), idWidth)
@@ -285,8 +287,9 @@ func (p *SemiStream) writeReport(view core.VertexView, round int, neighbors []in
 		src.Shuffle(len(neighbors), func(i, j int) { neighbors[i], neighbors[j] = neighbors[j], neighbors[i] })
 		neighbors = neighbors[:capEdges]
 	}
-	w := bitio.NewPooledWriter()
 	idWidth := bitio.UintWidth(view.N)
+	w := &bitio.Writer{}
+	w.Grow(bitio.UvarintWidth(uint64(len(neighbors))) + len(neighbors)*idWidth)
 	w.WriteUvarint(uint64(len(neighbors)))
 	for _, u := range neighbors {
 		w.WriteUint(uint64(u), idWidth)
@@ -384,12 +387,11 @@ func (p *SemiStream) DecodeResilient(n int, t *engine.Transcript, coins *rng.Pub
 		if err != nil {
 			return out, core.ResilienceFailed, err
 		}
-		sealed := t.Feedback(round)
-		recomputed := bitio.ReaderFor(w)
-		if !readersEqual(sealed, recomputed) {
+		// Both sides keep their padding bits zero, so equal bits mean
+		// equal bytes.
+		if t.FeedbackBitLen(round) != w.Len() || !bytes.Equal(t.AppendFeedback(nil, round), w.Bytes()) {
 			fbDamaged = true
 		}
-		bitio.Release(w)
 	}
 	worst := 0
 	for _, b := range bad {
@@ -403,19 +405,4 @@ func (p *SemiStream) DecodeResilient(n int, t *engine.Transcript, coins *rng.Pub
 	default:
 		return out, core.ResilienceOK, nil
 	}
-}
-
-// readersEqual compares two bit readers' full contents.
-func readersEqual(a, b *bitio.Reader) bool {
-	if a.Remaining() != b.Remaining() {
-		return false
-	}
-	for a.Remaining() > 0 {
-		x, err1 := a.ReadBit()
-		y, err2 := b.ReadBit()
-		if err1 != nil || err2 != nil || x != y {
-			return false
-		}
-	}
-	return true
 }

@@ -1,6 +1,7 @@
 package dynstream
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -86,11 +87,11 @@ func TestSemiStreamDeterministicAcrossWorkers(t *testing.T) {
 		}
 		for round := 0; round < ref.Rounds(); round++ {
 			for v := 0; v < g.N(); v++ {
-				if !readersEqual(ref.Message(round, v), tr.Message(round, v)) {
+				if ref.BitLen(round, v) != tr.BitLen(round, v) || !bytes.Equal(ref.AppendMessage(nil, round, v), tr.AppendMessage(nil, round, v)) {
 					t.Fatalf("workers=%d: round %d vertex %d message diverges", workers, round, v)
 				}
 			}
-			if !readersEqual(ref.Feedback(round), tr.Feedback(round)) {
+			if ref.FeedbackBitLen(round) != tr.FeedbackBitLen(round) || !bytes.Equal(ref.AppendFeedback(nil, round), tr.AppendFeedback(nil, round)) {
 				t.Fatalf("workers=%d: round %d feedback diverges", workers, round)
 			}
 		}

@@ -22,9 +22,8 @@ import (
 // failing vertex so the engine's deterministic first-failure rule keeps
 // reporting the lowest (round, vertex).
 //
-// Writers placed in out may be ownership-transferring
-// (bitio.NewOwnedWriter): SealRound then steals their buffers instead of
-// copying, which is where the block path's last memmove goes away.
+// Writers placed in out follow Broadcast's rule: SealRound takes their
+// buffers, so the producer must not keep slices of their bytes.
 type BlockBroadcaster interface {
 	Broadcaster
 	BroadcastBlock(round int, views []core.VertexView, transcript *Transcript, coins *rng.PublicCoins, out []*bitio.Writer) (int, error)

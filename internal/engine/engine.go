@@ -44,6 +44,9 @@ type Broadcaster interface {
 	// transcript holds every earlier (sealed) round. Broadcast must be
 	// safe for concurrent calls within a round and must derive any
 	// randomness from coins labels, never from shared mutable state.
+	// The engine takes the returned writer: sealing the round moves its
+	// buffer into the transcript and leaves it empty, so the protocol
+	// must not keep slices of its bytes.
 	Broadcast(round int, view core.VertexView, transcript *Transcript, coins *rng.PublicCoins) (*bitio.Writer, error)
 }
 
@@ -95,8 +98,9 @@ type ResilientProtocol[O any] interface {
 type Adaptive interface {
 	Broadcaster
 	// Feedback computes the referee's broadcast after the given sealed
-	// round. The engine seals the result into the transcript's feedback
-	// lane (Transcript.SealFeedback).
+	// round. The engine takes the writer as it takes Broadcast's and
+	// seals it into the transcript's feedback lane
+	// (Transcript.SealFeedback).
 	Feedback(round int, transcript *Transcript, coins *rng.PublicCoins) (*bitio.Writer, error)
 }
 
@@ -287,12 +291,6 @@ func (e *Engine) Execute(ctx context.Context, p Broadcaster, g *graph.Graph, coi
 			roundTotal += int64(l)
 		}
 		transcript.SealRound(msgs)
-		// Sealing copied every message's bits, so pooled scratch writers
-		// can be recycled for the next round's broadcasts. Release is a
-		// no-op for plain writers, which protocols may legally retain.
-		for _, w := range msgs {
-			bitio.Release(w)
-		}
 
 		// Referee feedback: computed single-threaded at the round barrier
 		// over the freshly sealed round, then sealed into the transcript's
@@ -310,7 +308,6 @@ func (e *Engine) Execute(ctx context.Context, p Broadcaster, g *graph.Graph, coi
 					feedbackBits = fb.Len()
 				}
 				transcript.SealFeedback(fb)
-				bitio.Release(fb)
 			}
 		}
 

@@ -43,7 +43,6 @@ func sequentialTranscript(t *testing.T, p engine.Broadcaster, g *graph.Graph, co
 				t.Fatalf("reference: feedback after round %d: %v", round, err)
 			}
 			tr.SealFeedback(fb)
-			bitio.Release(fb)
 		}
 	}
 	return tr
@@ -205,8 +204,9 @@ func TestContextCancellationStopsRun(t *testing.T) {
 }
 
 // retainingProtocol abuses the API: it keeps the writer it returned in
-// round 0 and appends to it in round 1. The sealed transcript must not
-// change.
+// round 0 and appends to it in round 1. The sealed round 0 must not
+// change; sealing it emptied the kept writer, so round 1 holds only the
+// byte appended after the seal.
 type retainingProtocol struct {
 	kept []*bitio.Writer
 }
@@ -244,8 +244,8 @@ func TestSealedRoundsImmuneToWriterMutation(t *testing.T) {
 		if err != nil || int(id) != v {
 			t.Errorf("round 0 vertex %d: payload = %d (err %v), want %d", v, id, err, v)
 		}
-		if got := tr.BitLen(1, v); got != 16 {
-			t.Errorf("round 1 vertex %d: BitLen = %d, want 16", v, got)
+		if got := tr.BitLen(1, v); got != 8 {
+			t.Errorf("round 1 vertex %d: BitLen = %d, want 8 (sealing must empty the writer)", v, got)
 		}
 	}
 }

@@ -2,7 +2,8 @@ package engine
 
 import "repro/internal/bitio"
 
-// message is one sealed broadcast: a private copy of the sender's bits.
+// message is one sealed broadcast: the sender's bits, taken from its
+// writer.
 type message struct {
 	buf  []byte
 	nbit int
@@ -11,12 +12,13 @@ type message struct {
 // Transcript gives read access to all broadcasts of completed rounds.
 //
 // Immutability guarantee: a round becomes visible only when it is sealed,
-// and sealing copies every message's bits into buffers owned by the
-// transcript. After SealRound returns, nothing — not the engine, not a
-// protocol that retained the *bitio.Writer it handed back, not a later
-// round appending to a recycled writer — can change a single bit of that
-// round. Message therefore always returns a reader over a stable snapshot,
-// which is what makes concurrent Broadcast calls in the next round safe.
+// and sealing takes every message's buffer from its writer (Detach),
+// leaving the writer empty. After SealRound returns, nothing — not the
+// engine, not a protocol that retained the *bitio.Writer it handed back
+// and writes to it again — can change a single bit of that round, as
+// long as no producer keeps a slice of its writer's bytes. Message
+// therefore always returns a reader over a stable snapshot, which is
+// what makes concurrent Broadcast calls in the next round safe.
 //
 // Besides the player lane, every sealed round has one referee feedback
 // slot (the adaptive model's downlink): SealRound opens it empty, and
@@ -63,36 +65,33 @@ func (t *Transcript) BitLen(round, v int) int { return t.rounds[round][v].nbit }
 // graph that produced them.
 func (t *Transcript) Players(round int) int { return len(t.rounds[round]) }
 
-// SealRound appends one completed round of broadcasts, copying each
-// writer's bits so the sealed round is immune to later writer mutation.
-// A nil writer seals as an empty message. The engine calls this exactly
-// once per round after the round's barrier; it is exported so reference
-// executors (tests, the golden sequential baseline) can build transcripts
-// under the same immutability contract.
+// SealRound appends one completed round of broadcasts, taking each
+// writer's buffer so the sealed round is immune to later writer
+// mutation; every writer is empty afterwards. A nil writer seals as an
+// empty message. The engine calls this exactly once per round after the
+// round's barrier; it is exported so reference executors (tests, the
+// golden sequential baseline) can build transcripts under the same
+// immutability contract.
 func (t *Transcript) SealRound(msgs []*bitio.Writer) {
 	sealed := make([]message, len(msgs))
 	for v, w := range msgs {
-		if w == nil || w.Len() == 0 {
-			continue
-		}
-		if w.Owned() {
-			// Ownership-transferring writer (block path): steal the
-			// buffer instead of copying. Detach severs the writer from
-			// the bits, so the immutability guarantee holds identically.
-			buf, nbit := w.Detach()
-			sealed[v] = message{buf: buf, nbit: nbit}
-			continue
-		}
-		buf := make([]byte, len(w.Bytes()))
-		copy(buf, w.Bytes())
-		sealed[v] = message{buf: buf, nbit: w.Len()}
+		sealed[v] = take(w)
 	}
 	t.rounds = append(t.rounds, sealed)
 	t.feedback = append(t.feedback, message{})
 }
 
+// take detaches w's bits into a sealed message.
+func take(w *bitio.Writer) message {
+	if w == nil || w.Len() == 0 {
+		return message{}
+	}
+	buf, nbit := w.Detach()
+	return message{buf: buf, nbit: nbit}
+}
+
 // SealFeedback records the referee's feedback broadcast for the most
-// recently sealed round, copying the writer's bits under the same
+// recently sealed round, taking the writer's buffer under the same
 // immutability contract as SealRound. A nil or empty writer leaves the
 // slot empty — the transcript of a silent or non-adaptive referee. The
 // engine calls this exactly once per round, single-threaded at the round
@@ -107,17 +106,7 @@ func (t *Transcript) SealFeedback(w *bitio.Writer) {
 	if t.feedback[last].nbit != 0 {
 		panic("engine: feedback already sealed for the current round")
 	}
-	if w == nil || w.Len() == 0 {
-		return
-	}
-	if w.Owned() {
-		buf, nbit := w.Detach()
-		t.feedback[last] = message{buf: buf, nbit: nbit}
-		return
-	}
-	buf := make([]byte, len(w.Bytes()))
-	copy(buf, w.Bytes())
-	t.feedback[last] = message{buf: buf, nbit: w.Len()}
+	t.feedback[last] = take(w)
 }
 
 // Feedback returns a fresh reader over the referee's feedback broadcast

@@ -246,38 +246,14 @@ func (i *Injector) Name() string { return i.inner.Name() + "+faults" }
 func (i *Injector) Rounds() int { return i.inner.Rounds() }
 
 // Broadcast runs the wrapped broadcast and perturbs its result according
-// to the plan. Corruption is applied to the writer before the engine seals
-// the round, so every later-round player and the referee observe the same
-// corrupted transcript — the faulted run stays a valid execution of the
-// sketching model over a damaged channel.
+// to the plan: BroadcastBlock over one view. Corruption is applied to the
+// writer before the engine seals the round, so every later-round player
+// and the referee observe the same corrupted transcript — the faulted run
+// stays a valid execution of the sketching model over a damaged channel.
 func (i *Injector) Broadcast(round int, view core.VertexView, t *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
-	if coin(i.coins, "straggle", round, view.ID, i.plan.StragglerProb) {
-		timer := time.NewTimer(i.plan.stragglerDelay())
-		select {
-		case <-timer.C:
-		case <-i.done:
-			timer.Stop()
-			// The engine checks ctx between vertices; returning the
-			// unfaulted broadcast here keeps partial transcripts
-			// bit-consistent if the round still seals.
-		}
-	}
-	w, err := i.inner.Broadcast(round, view, t, coins)
-	if err != nil {
-		return w, err
-	}
-	if coin(i.coins, "drop", round, view.ID, i.plan.DropProb) {
-		// The inner message is discarded unread; recycle its scratch
-		// buffer now since the engine will only ever see the empty stand-in.
-		bitio.Release(w)
-		return &bitio.Writer{}, nil
-	}
-	if w != nil && w.Len() > 0 && coin(i.coins, "corrupt", round, view.ID, i.plan.CorruptProb) {
-		for _, pos := range flipPositions(i.coins, "flip", round, view.ID, w.Len(), i.plan.flipBits()) {
-			w.FlipBit(pos)
-		}
-	}
-	return w, nil
+	views, out := [1]core.VertexView{view}, [1]*bitio.Writer{}
+	_, err := i.BroadcastBlock(round, views[:], t, coins, out[:])
+	return out[0], err
 }
 
 // BroadcastBlock keeps the injector on the engine's columnar fast path:
@@ -315,7 +291,6 @@ func (i *Injector) BroadcastBlock(round int, views []core.VertexView, t *engine.
 	for idx, view := range views {
 		w := out[idx]
 		if coin(i.coins, "drop", round, view.ID, i.plan.DropProb) {
-			bitio.Release(w)
 			out[idx] = &bitio.Writer{}
 			continue
 		}
@@ -346,7 +321,6 @@ func (i *Injector) Feedback(round int, t *engine.Transcript, coins *rng.PublicCo
 		}
 	}
 	if coin(i.coins, "fb-drop", round, 0, i.plan.FeedbackDropProb) {
-		bitio.Release(w)
 		return &bitio.Writer{}, nil
 	}
 	if w != nil && w.Len() > 0 && coin(i.coins, "fb-corrupt", round, 0, i.plan.FeedbackCorruptProb) {

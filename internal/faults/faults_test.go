@@ -53,7 +53,6 @@ func sequentialFaulted(t *testing.T, p engine.Broadcaster, g *graph.Graph, plan 
 			t.Fatalf("reference feedback after round %d: %v", round, err)
 		}
 		tr.SealFeedback(fb)
-		bitio.Release(fb)
 	}
 	return tr
 }

@@ -163,7 +163,7 @@ func TestUpdateBlockZeroAlloc(t *testing.T) {
 	ups := randBankUpdates(r, lanes, sp.Universe(), 8*lanes)
 	bank := NewBank()
 	var upd BlockUpdates
-	w := bitio.NewOwnedWriter()
+	w := &bitio.Writer{}
 	cycle := func() {
 		bank.Reset(sp.Levels(), lanes)
 		upd.Reset()
@@ -197,7 +197,7 @@ func BenchmarkBankUpdate(b *testing.B) {
 	sp, ups := benchBankSetup()
 	bank := NewBank()
 	var upd BlockUpdates
-	w := bitio.NewOwnedWriter()
+	w := &bitio.Writer{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

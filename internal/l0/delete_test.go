@@ -68,9 +68,7 @@ func TestNetZeroLaneDecodesToEmpty(t *testing.T) {
 	if _, _, ok := sp.Sample(sk); ok {
 		t.Fatal("Sample recovered an index from a net-zero sketch")
 	}
-	w1, w2 := bitio.NewPooledWriter(), bitio.NewPooledWriter()
-	defer bitio.Release(w1)
-	defer bitio.Release(w2)
+	w1, w2 := &bitio.Writer{}, &bitio.Writer{}
 	sk.Write(w1)
 	fresh.Write(w2)
 	if string(w1.Bytes()) != string(w2.Bytes()) || w1.Len() != w2.Len() {
@@ -125,14 +123,12 @@ func TestBankMatchesScalarUnderInterleavedDeletes(t *testing.T) {
 		if got, want := bank.LaneChecksum(lane), scalar[lane].Checksum(); got != want {
 			t.Fatalf("lane %d: LaneChecksum %08x != scalar Checksum %08x", lane, got, want)
 		}
-		w1, w2 := bitio.NewPooledWriter(), bitio.NewPooledWriter()
+		w1, w2 := &bitio.Writer{}, &bitio.Writer{}
 		bank.WriteLane(w1, lane)
 		scalar[lane].Write(w2)
 		if string(w1.Bytes()) != string(w2.Bytes()) || w1.Len() != w2.Len() {
 			t.Fatalf("lane %d: WriteLane bytes differ from scalar Write", lane)
 		}
-		bitio.Release(w1)
-		bitio.Release(w2)
 	}
 	// The first half of the lanes netted to zero; their bank lanes must
 	// match a fresh sketch too, not just the (equally net-zero) scalar.

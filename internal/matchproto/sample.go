@@ -20,7 +20,6 @@ import (
 // conceptual player but derived deterministically from the public coins
 // and the vertex ID so runs are reproducible.
 func sampleSketch(view core.VertexView, budget int, coins *rng.PublicCoins) *bitio.Writer {
-	w := bitio.NewPooledWriter()
 	idWidth := bitio.UintWidth(view.N)
 	k := budget
 	if k > view.Degree() {
@@ -29,6 +28,8 @@ func sampleSketch(view core.VertexView, budget int, coins *rng.PublicCoins) *bit
 	if k < 0 {
 		k = 0
 	}
+	w := &bitio.Writer{}
+	w.Grow(bitio.UvarintWidth(uint64(k)) + k*idWidth)
 	w.WriteUvarint(uint64(k))
 	src := coins.Derive("edge-sample").DeriveIndex(view.ID).Source()
 	perm := src.Perm(view.Degree())

@@ -3,6 +3,7 @@ package matchproto
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bitio"
 	"repro/internal/core"
@@ -97,27 +98,15 @@ func (p *TwoRound) Feedback(round int, transcript *engine.Transcript, coins *rng
 	}
 	n := transcript.Players(0)
 	m1, _ := p.round1Matching(n, transcript, coins)
-	w := bitio.NewPooledWriter()
 	idWidth := bitio.UintWidth(n)
+	w := &bitio.Writer{}
+	w.Grow(bitio.UvarintWidth(uint64(len(m1))) + 2*len(m1)*idWidth)
 	w.WriteUvarint(uint64(len(m1)))
 	for _, e := range m1 {
 		w.WriteUint(uint64(e.U), idWidth)
 		w.WriteUint(uint64(e.V), idWidth)
 	}
 	return w, nil
-}
-
-// edgeListsEqual reports element-wise equality of two edge lists.
-func edgeListsEqual(a, b []graph.Edge) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // readMatchingFeedback parses the round-1 feedback broadcast back into
@@ -200,7 +189,7 @@ func (p *TwoRound) BroadcastBlock(round int, views []core.VertexView, transcript
 // it, else its edges to other unmatched vertices, at most capEdges of
 // them.
 func residualReport(view core.VertexView, matched []bool, capEdges, idWidth int, coins *rng.PublicCoins) *bitio.Writer {
-	w := bitio.NewPooledWriter()
+	w := &bitio.Writer{}
 	if matched[view.ID] {
 		w.WriteUvarint(0)
 		return w
@@ -218,6 +207,7 @@ func residualReport(view core.VertexView, matched []bool, capEdges, idWidth int,
 		src.Shuffle(len(residual), func(i, j int) { residual[i], residual[j] = residual[j], residual[i] })
 		residual = residual[:capEdges]
 	}
+	w.Grow(bitio.UvarintWidth(uint64(len(residual))) + len(residual)*idWidth)
 	w.WriteUvarint(uint64(len(residual)))
 	for _, u := range residual {
 		w.WriteUint(uint64(u), idWidth)
@@ -285,7 +275,7 @@ func (p *TwoRound) DecodeResilient(n int, transcript *engine.Transcript, coins *
 	// broadcast, so any divergence is detected damage.
 	fed, matched, fbOK := readMatchingFeedback(n, transcript.Feedback(0))
 	trueM1, r1bad := p.round1Matching(n, transcript, coins)
-	fbDamaged := !fbOK || !edgeListsEqual(fed, trueM1)
+	fbDamaged := !fbOK || !slices.Equal(fed, trueM1)
 	m1 := graph.GreedyMaximalMatchingEdgeOrder(n, fed)
 	idWidth := bitio.UintWidth(n)
 	capEdges := p.capEdges(n)

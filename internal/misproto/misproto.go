@@ -18,7 +18,6 @@ import (
 // preceded by their count (shared with the matching protocols' shape, but
 // kept local to avoid a dependency knot).
 func sampleSketch(view core.VertexView, budget int, coins *rng.PublicCoins) *bitio.Writer {
-	w := bitio.NewPooledWriter()
 	idWidth := bitio.UintWidth(view.N)
 	k := budget
 	if k > view.Degree() {
@@ -27,6 +26,8 @@ func sampleSketch(view core.VertexView, budget int, coins *rng.PublicCoins) *bit
 	if k < 0 {
 		k = 0
 	}
+	w := &bitio.Writer{}
+	w.Grow(bitio.UvarintWidth(uint64(k)) + k*idWidth)
 	w.WriteUvarint(uint64(k))
 	src := coins.Derive("mis-sample").DeriveIndex(view.ID).Source()
 	perm := src.Perm(view.Degree())

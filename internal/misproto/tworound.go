@@ -3,6 +3,7 @@ package misproto
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/bitio"
 	"repro/internal/core"
@@ -114,8 +115,9 @@ func (p *TwoRound) Feedback(round int, transcript *engine.Transcript, coins *rng
 	n := transcript.Players(0)
 	rank, _ := sharedRank(n, coins)
 	s1, _ := p.candidateSet(n, transcript, rank)
-	w := bitio.NewPooledWriter()
 	idWidth := bitio.UintWidth(n)
+	w := &bitio.Writer{}
+	w.Grow(bitio.UvarintWidth(uint64(len(s1))) + len(s1)*idWidth)
 	w.WriteUvarint(uint64(len(s1)))
 	for _, v := range s1 {
 		w.WriteUint(uint64(v), idWidth)
@@ -199,8 +201,12 @@ func (p *TwoRound) BroadcastBlock(round int, views []core.VertexView, transcript
 // limit entries.
 func round2Report(view core.VertexView, pos []int, inS1 []bool, limit, idWidth int, coins *rng.PublicCoins) *bitio.Writer {
 	src := coins.Derive("mis-cap").DeriveIndex(view.ID).Source()
-	w := bitio.NewPooledWriter()
+	w := &bitio.Writer{}
 
+	cappedBits := func(lst []int) int {
+		k := min(len(lst), limit)
+		return bitio.UvarintWidth(uint64(k)) + k*idWidth
+	}
 	writeCapped := func(lst []int) {
 		if len(lst) > limit {
 			src.Shuffle(len(lst), func(i, j int) { lst[i], lst[j] = lst[j], lst[i] })
@@ -229,10 +235,12 @@ func round2Report(view core.VertexView, pos []int, inS1 []bool, limit, idWidth i
 				break
 			}
 		}
-		w.WriteBit(conflict)
 		if !conflict {
+			w.WriteBit(false)
 			return w
 		}
+		w.Grow(1 + cappedBits(dominators))
+		w.WriteBit(true)
 		// Conflicted member: report the S₁-neighbor list so the
 		// referee learns the conflict edges (the larger-rank endpoint
 		// of every S₁-conflict edge lands here).
@@ -240,6 +248,7 @@ func round2Report(view core.VertexView, pos []int, inS1 []bool, limit, idWidth i
 		return w
 	}
 	// Outside S₁: domination witnesses plus extension edges.
+	w.Grow(cappedBits(dominators) + cappedBits(residual))
 	writeCapped(dominators)
 	writeCapped(residual)
 	return w
@@ -386,7 +395,7 @@ func (p *TwoRound) DecodeResilient(n int, transcript *engine.Transcript, coins *
 	rank, _ := sharedRank(n, coins)
 	s1, inS1, fbOK := readCandidateFeedback(n, transcript.Feedback(0))
 	trueS1, r1bad := p.candidateSet(n, transcript, rank)
-	fbDamaged := !fbOK || !intListsEqual(s1, trueS1)
+	fbDamaged := !fbOK || !slices.Equal(s1, trueS1)
 	idWidth := bitio.UintWidth(n)
 	limit := p.listCap(n)
 	dominators := make([][]int, n)
@@ -460,17 +469,4 @@ func (p *TwoRound) DecodeResilient(n int, transcript *engine.Transcript, coins *
 	default:
 		return out, core.ResilienceOK, nil
 	}
-}
-
-// intListsEqual reports element-wise equality of two int lists.
-func intListsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

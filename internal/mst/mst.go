@@ -152,23 +152,26 @@ func NewProtocol(wg *Weighted, cfg agm.Config) *Protocol {
 func (p *Protocol) Name() string { return "mst-weight" }
 
 // Sketch implements core.Protocol: one forest sketch per threshold of
-// the vertex's thresholded incidence, concatenated bit-exactly.
+// the vertex's thresholded incidence, concatenated bit-exactly. The
+// message is grown once to its exact length and every forest sketch is
+// appended straight into it.
 func (p *Protocol) Sketch(view core.VertexView, coins *rng.PublicCoins) (*bitio.Writer, error) {
+	thresholds := make([]*rng.PublicCoins, p.wg.MaxW)
+	bits := 0
+	for i := range thresholds {
+		thresholds[i] = coins.Derive("mst-threshold").DeriveIndex(i + 1)
+		bits += p.forests[i].SketchBits(view.N, thresholds[i])
+	}
 	w := &bitio.Writer{}
-	for i := 1; i <= p.wg.MaxW; i++ {
+	w.Grow(bits)
+	for i, c := range thresholds {
 		var nbrs []int
 		for _, u := range view.Neighbors {
-			if p.wg.W[graph.NewEdge(view.ID, u)] <= i {
+			if p.wg.W[graph.NewEdge(view.ID, u)] <= i+1 {
 				nbrs = append(nbrs, u)
 			}
 		}
-		sub := core.VertexView{N: view.N, ID: view.ID, Neighbors: nbrs}
-		sw, err := p.forests[i-1].Sketch(sub, coins.Derive("mst-threshold").DeriveIndex(i))
-		if err != nil {
-			return nil, fmt.Errorf("mst: threshold %d vertex %d: %w", i, view.ID, err)
-		}
-		w.Append(sw)
-		bitio.Release(sw)
+		p.forests[i].AppendSketch(w, core.VertexView{N: view.N, ID: view.ID, Neighbors: nbrs}, c)
 	}
 	return w, nil
 }

@@ -115,26 +115,35 @@ func (p *Protocol) skeletons(n int) (Config, []*agm.SkeletonProtocol) {
 	return cfg, out
 }
 
-// Sketch implements core.Protocol: for each level, delegate to the
-// skeleton protocol on the level-filtered view.
+// Sketch implements core.Protocol: for each level, the skeleton
+// protocol's sketch of the level-filtered view, zero-padded to a whole
+// number of bytes and followed by its bit length. The message is grown
+// once to its exact length and every skeleton sketch is appended
+// straight into it.
 func (p *Protocol) Sketch(view core.VertexView, coins *rng.PublicCoins) (*bitio.Writer, error) {
 	cfg, skels := p.skeletons(view.N)
+	levels := make([]*rng.PublicCoins, cfg.Levels)
+	sizes := make([]int, cfg.Levels)
+	bits := 0
+	for i := range levels {
+		levels[i] = coins.Derive("sparsify").DeriveIndex(i)
+		sizes[i] = skels[i].SketchBits(view.N, levels[i])
+		bits += (sizes[i]+7)/8*8 + bitio.UvarintWidth(uint64(sizes[i]))
+	}
 	w := &bitio.Writer{}
-	for i := 0; i < cfg.Levels; i++ {
+	w.Grow(bits)
+	for i, c := range levels {
 		var nbrs []int
 		for _, u := range view.Neighbors {
 			if edgeLevel(view.N, view.ID, u, cfg.Levels-1, coins) >= i {
 				nbrs = append(nbrs, u)
 			}
 		}
-		sub := core.VertexView{N: view.N, ID: view.ID, Neighbors: nbrs}
-		sw, err := skels[i].Sketch(sub, coins.Derive("sparsify").DeriveIndex(i))
-		if err != nil {
+		if err := skels[i].AppendSketch(w, core.VertexView{N: view.N, ID: view.ID, Neighbors: nbrs}, c); err != nil {
 			return nil, fmt.Errorf("sparsify: level %d: %w", i, err)
 		}
-		w.WriteBytes(sw.Bytes())
-		w.WriteUvarint(uint64(sw.Len()))
-		bitio.Release(sw)
+		w.WriteZeros(-sizes[i] & 7)
+		w.WriteUvarint(uint64(sizes[i]))
 	}
 	return w, nil
 }

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/bitio"
+	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/rng"
 )
 
 // Allocation guards for the transcript codec: frames are sized before
@@ -152,6 +154,49 @@ func TestFramesSizedExactly(t *testing.T) {
 	} {
 		if len(out) != cap(out) {
 			t.Errorf("%s: %d bytes written into a %d-byte buffer", name, len(out), cap(out))
+		}
+	}
+}
+
+// TestConcatenatedSketchAllocs: mst-weight and agm-cut-sparsifier build
+// each vertex message from several AGM sketches (one forest per weight
+// threshold, one skeleton per level). Each grows its message once to its
+// exact length and appends every sketch straight into it, so one
+// vertex's Sketch allocates at most 1.25× its message's bytes. Growing
+// the message by doubling and copying scratch sub-sketches into it costs
+// 2.5× to 3.7×.
+func TestConcatenatedSketchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops the sketch arena at random under the race detector")
+	}
+	for _, c := range []struct {
+		name string
+		n    int
+	}{{"mst-weight", 220}, {"agm-cut-sparsifier", 120}} {
+		g, err := BuildGraph(GraphSpec{Kind: "gnp", N: c.n, P: 8 / float64(c.n-1), Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		build, err := lookupProtocol(c.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := build(g)
+		views := core.Views(g)
+		coins := rng.NewPublicCoins(5)
+		v, msgBytes := 0, 0
+		perSketch := bytesPerRun(20, func() {
+			w, err := p.Broadcast(0, views[v%len(views)], nil, coins)
+			if err != nil {
+				t.Fatal(err)
+			}
+			msgBytes = len(w.Bytes()) // every vertex's message has the same length
+			v++
+		})
+		ratio := float64(perSketch) / float64(msgBytes)
+		t.Logf("%s: one Sketch allocates %d bytes for a %d-byte message (%.2f×)", c.name, perSketch, msgBytes, ratio)
+		if ratio > 1.25 {
+			t.Errorf("%s: %.2f× its message's bytes, want ≤ 1.25×", c.name, ratio)
 		}
 	}
 }

@@ -169,7 +169,7 @@ func FuzzAdaptiveFeedback(f *testing.F) {
 	type adaptiveCase struct {
 		name   string
 		p      adaptive
-		round0 []*bitio.Writer
+		round0 *engine.Transcript // round 0 sealed; each input seals a copy
 	}
 	var cases []adaptiveCase
 	for _, name := range []string{"mm-tworound", "mis-tworound", "semistream-matching"} {
@@ -185,17 +185,16 @@ func FuzzAdaptiveFeedback(f *testing.F) {
 		if _, err := p.BroadcastBlock(0, views, engine.NewTranscript(), coins, round0); err != nil {
 			f.Fatal(err)
 		}
-		cases = append(cases, adaptiveCase{name, p, round0})
-		// Seed with the referee's own feedback, which every player
-		// decodes cleanly.
 		tr := engine.NewTranscript()
 		tr.SealRound(round0)
+		cases = append(cases, adaptiveCase{name, p, tr})
+		// Seed with the referee's own feedback, which every player
+		// decodes cleanly.
 		fb, err := p.Feedback(0, tr, coins)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(bytes.Clone(fb.Bytes()), uint8(-fb.Len()&7))
-		bitio.Release(fb)
 	}
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint8(3))
@@ -208,8 +207,14 @@ func FuzzAdaptiveFeedback(f *testing.F) {
 			if rem := nbit % 8; rem != 0 {
 				fb.WriteUint(uint64(data[nbit/8]), rem)
 			}
+			// Sealing takes the writers' buffers, so every input
+			// seals its own copy of round 0.
+			round0 := make([]*bitio.Writer, len(views))
+			for v := range round0 {
+				round0[v] = bitio.NewWriterFrom(c.round0.AppendMessage(nil, 0, v), c.round0.BitLen(0, v))
+			}
 			tr := engine.NewTranscript()
-			tr.SealRound(c.round0)
+			tr.SealRound(round0)
 			tr.SealFeedback(fb)
 			block := make([]*bitio.Writer, len(views))
 			if _, err := c.p.BroadcastBlock(1, views, tr, coins, block); err != nil {
@@ -223,8 +228,6 @@ func FuzzAdaptiveFeedback(f *testing.F) {
 				if one.Len() != block[i].Len() || !bytes.Equal(one.Bytes(), block[i].Bytes()) {
 					t.Fatalf("%s: player %d wrote %d bits in the block, %d alone", c.name, view.ID, block[i].Len(), one.Len())
 				}
-				bitio.Release(one)
-				bitio.Release(block[i])
 			}
 		}
 	})

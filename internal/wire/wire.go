@@ -34,7 +34,7 @@
 // engine.Transcript.AppendMessage, clearing the final byte's padding
 // bits), and the decoder copies nothing: after checking a message's
 // padding it hands the transcript a capacity-clipped sub-slice of the
-// frame (bitio.NewOwnedWriterFrom), so a decoded transcript adopts the
+// frame (bitio.NewWriterFrom), so a decoded transcript adopts the
 // frame it came from. Every encoder sizes its payload first and
 // allocates its output once, at the exact length; RunReportHead lets a
 // caller that already holds a result payload write it behind its header
@@ -424,9 +424,9 @@ func appendTranscriptPayload(e *enc, t *engine.Transcript) {
 
 // DecodeTranscript inverts EncodeTranscript, rebuilding a sealed
 // engine.Transcript that adopts data: each message is a capacity-clipped
-// sub-slice of the frame, sealed through the owned-writer path, so the
+// sub-slice of the frame, sealed as the writer that adopted it, so the
 // transcript's bits are data's bytes and the caller must not modify data
-// afterwards (the rule bitio.NewOwnedWriterFrom states). Corrupt input
+// afterwards (the rule bitio.NewWriterFrom states). Corrupt input
 // yields an error, never a panic; non-zero padding bits in a message's
 // final byte are rejected so that decode(encode(t)) re-encodes
 // byte-identically, and decoding never writes to data.
@@ -446,8 +446,8 @@ func DecodeTranscript(data []byte) (*engine.Transcript, error) {
 func decodeTranscriptPayload(d *dec) *engine.Transcript {
 	t := engine.NewTranscript()
 	// readMessage wraps one message of the payload, clipped to its own
-	// bytes so nothing appended to it can reach the next message, in an
-	// owned writer that sealing steals. The error labels come whole
+	// bytes so nothing appended to it can reach the next message, in a
+	// writer whose buffer sealing takes. The error labels come whole
 	// rather than concatenated per call, so a message allocates only its
 	// writer.
 	readMessage := func(round, v int, lenWhat, bitsWhat, what string) *bitio.Writer {
@@ -467,7 +467,7 @@ func decodeTranscriptPayload(d *dec) *engine.Transcript {
 		if nbit == 0 {
 			return nil
 		}
-		return bitio.NewOwnedWriterFrom(buf[:nb:nb], nbit)
+		return bitio.NewWriterFrom(buf[:nb:nb], nbit)
 	}
 	rounds := d.length("round", 1)
 	for round := 0; round < rounds; round++ {

@@ -45,8 +45,13 @@ if [ -z "$base_block" ] || [ -z "$base_scalar" ]; then
     exit 1
 fi
 
+# Three invocations of one repetition each, so block and scalar runs
+# alternate (block, scalar, block, ...): a burst of host noise then
+# lands on both sides instead of on every repetition of one of them.
 echo "bench-guard: measuring EngineBlockN1k vs EngineScalarN1k" >&2
-go test -run='^$' -bench='EngineBlockN1k|EngineScalarN1k' -benchtime=1x -count=3 ./internal/agm/ >"$TMP"
+for rep in 1 2 3; do
+    go test -run='^$' -bench='EngineBlockN1k|EngineScalarN1k' -benchtime=1x -count=1 ./internal/agm/ >>"$TMP"
+done
 
 now_block="$(min_ns "$TMP" EngineBlockN1k)"
 now_scalar="$(min_ns "$TMP" EngineScalarN1k)"
