@@ -4,7 +4,8 @@
 
 # The hot-path micro-benchmarks: field exponentiation/inversion, ℓ₀
 # sketch updates (scalar and banked — L0Update also matches
-# L0UpdateBlock, FieldPow also matches FieldPowBlock), the columnar bank
+# L0UpdateBlock, FieldPow also matches FieldPowBlock), one ℓ₀ spec
+# derivation at agm-forest's n = 256, the columnar bank
 # cycle, the per-vertex AGM sketching cost, the dynamic-stream batch
 # apply, the
 # transcript codec on six ~2 MB AGM-family reports, one in-process
@@ -16,7 +17,7 @@
 # referee side by side), and the bulk 61-bit unpack kernel. bench-smoke
 # and the informational CI job share this selection with
 # bench/baseline.txt.
-BENCH_HOT := FieldPow|FieldInv|L0Update|L0Sample|BankUpdate|AGMSketchVertex|DynStreamApply|WireReportEncodeLarge|WireReportDecodeLarge|ServerHitLarge|ServerMissAdaptive|ClientRunHitLarge|AGMDecode|BitioUnpack61
+BENCH_HOT := FieldPow|FieldInv|L0Update|L0NewSpec|L0Sample|BankUpdate|AGMSketchVertex|DynStreamApply|WireReportEncodeLarge|WireReportDecodeLarge|ServerHitLarge|ServerMissAdaptive|ClientRunHitLarge|AGMDecode|BitioUnpack61
 BENCH_HOT_PKGS := ./internal/field/ ./internal/l0/ ./internal/agm/ ./internal/dynstream/ ./internal/wire/ ./internal/server/ ./internal/client/ ./internal/bitio/
 
 # The engine-level block-vs-scalar pair the bench guard watches, in
@@ -35,8 +36,9 @@ all: check
 # then the block-vs-scalar performance guard (the allocation-regression
 # tests — TestUpdateBlockZeroAlloc, TestBlockKernelsZeroAlloc,
 # TestSketchVertexAllocs for a warm AGM sketch appended into a writer
-# with room, the mst and sparsify message-size bounds, and the wire
-# codec's Test*Alloc* guards — already run inside `test`).
+# with room, the mst and sparsify message-size bounds, sparsify's
+# TestDecodeAllocs for a referee that reads each level in place, and the
+# wire codec's Test*Alloc* guards — already run inside `test`).
 check: test test-race lint-registry lbcalc-smoke perfbench-test bench-guard
 
 # bench-guard fails when the columnar block path regresses by more than

@@ -38,7 +38,9 @@ var (
 // blockLanes is the number of vertices banked per chunk. Large enough to
 // amortize the per-spec bank reset and keep the spec's pow-table rows
 // cache-hot across lanes, small enough that the bank's working set
-// (3 slices × lanes × ~30 levels × 8 bytes ≈ 1 MB) stays in L2.
+// (3 slices × lanes × ~30 levels × 8 bytes ≈ 90 KiB) and the update
+// scratch (a few 24-byte cells per lane, one per level up to its highest
+// sampled one) stay in L2.
 const blockLanes = 128
 
 // blockArena is the reusable scratch of one sketching call: the bank,

@@ -17,12 +17,14 @@ import (
 	"repro/internal/rng"
 )
 
-// specCacheMaxEntries bounds the cache. One entry for an n=10k forest
-// run holds ~100 specs whose window tables total ~1.6 MiB, so the bound
-// caps worst-case memory near 100 MiB while keeping every stack of any
+// specCacheMaxEntries bounds the cache. A spec's window table covers
+// exponents up to its universe n², so one entry for an n=10k forest run
+// holds 96 specs of 4 windows (8 KiB) each, ~0.75 MiB, and the bound
+// caps worst-case memory near 50 MiB while keeping every stack of any
 // realistic sweep (a sweep revisits few (n, cfg, seed) keys, many times
-// each) resident. Eviction drops the whole map: entries are pure
-// derivations, so losing them costs only re-derivation.
+// each) resident; an n=256 forest entry is 66 specs of 3 windows,
+// ~0.4 MiB. Eviction drops the whole map: entries are pure derivations,
+// so losing them costs only re-derivation.
 const specCacheMaxEntries = 64
 
 // specKey identifies one derived sampler stack.

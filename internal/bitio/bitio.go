@@ -242,6 +242,19 @@ func (r *Reader) ReadBytes(n int) ([]byte, error) {
 	return out, nil
 }
 
+// View consumes the next width bits as a reader of their own: the
+// returned reader reads exactly those bits, in place in r's buffer at
+// whatever bit offset they start, and r moves past them. When fewer
+// remain it consumes nothing and returns ErrShortMessage.
+func (r *Reader) View(width int) (Reader, error) {
+	if width < 0 || r.Remaining() < width {
+		return Reader{}, ErrShortMessage
+	}
+	v := Reader{buf: r.buf, nbit: r.pos + width, pos: r.pos}
+	r.pos += width
+	return v, nil
+}
+
 // UvarintWidth returns the number of bits WriteUvarint spends on v,
 // 2*floor(log2(v+1))+1.
 func UvarintWidth(v uint64) int { return 2*bits.Len64(v+1) - 1 }

@@ -216,6 +216,47 @@ func TestAppendDropsSourcePadding(t *testing.T) {
 	}
 }
 
+// TestViewReadsInPlace: a view over the next width bits reads exactly
+// those bits, at every start offset mod 8 and whether or not the bits
+// after it are set, stops at its own end, and moves its parent past
+// them; a view wider than what remains consumes nothing.
+func TestViewReadsInPlace(t *testing.T) {
+	rnd := rand.New(rand.NewSource(4))
+	for off := 0; off < 8; off++ {
+		for _, width := range []int{0, 1, 7, 8, 61, 64, 200} {
+			var w Writer
+			w.WriteUint(rnd.Uint64(), off)
+			vals := randElems(rnd, width/61+1)
+			for i, v := range vals {
+				w.WriteUint(v, min(61, width-61*i))
+			}
+			w.WriteUint(^uint64(0), 13) // a set trailer the view must not see
+			r := ReaderFor(&w)
+			_ = r.Skip(off)
+			v, err := r.View(width)
+			if err != nil || v.Remaining() != width || r.Remaining() != 13 {
+				t.Fatalf("off %d width %d: View err %v, view %d bits, parent %d left", off, width, err, v.Remaining(), r.Remaining())
+			}
+			for i, want := range vals {
+				k := min(61, width-61*i)
+				got, err := v.ReadUint(k)
+				if want &= 1<<k - 1; err != nil || got != want {
+					t.Fatalf("off %d width %d: element %d = %#x, %v; want %#x", off, width, i, got, err, want)
+				}
+			}
+			if _, err := v.ReadBit(); err != ErrShortMessage {
+				t.Fatalf("off %d width %d: read past the view's end: %v", off, width, err)
+			}
+			if got, _ := r.ReadUint(13); got != 1<<13-1 {
+				t.Fatalf("off %d width %d: parent resumed at %#x", off, width, got)
+			}
+			if _, err := r.View(1); err != ErrShortMessage || r.Remaining() != 0 {
+				t.Fatalf("off %d width %d: short View err %v, %d left", off, width, err, r.Remaining())
+			}
+		}
+	}
+}
+
 // BenchmarkBitioUnpack61 measures the bulk 61-bit unpack over one
 // agm-forest vertex message at n = 256 (66 samplers × 19 levels × 3
 // elements), starting at an odd bit offset.

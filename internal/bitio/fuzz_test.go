@@ -29,7 +29,7 @@ func FuzzUvarintRoundTrip(f *testing.F) {
 }
 
 // FuzzReaderNeverPanics feeds arbitrary byte soup to every reader method,
-// the bulk ones (ReadBytes, ReadUint61s, Skip) included; readers must
+// the bulk ones (ReadBytes, ReadUint61s, Skip) and View included; readers must
 // fail gracefully, never panic or over-read, and a bulk 61-bit read must
 // agree with the per-element reads it replaces.
 func FuzzReaderNeverPanics(f *testing.F) {
@@ -39,7 +39,7 @@ func FuzzReaderNeverPanics(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, ops uint8) {
 		r := NewReader(data, len(data)*8)
 		for i := uint8(0); i < ops%64; i++ {
-			switch i % 6 {
+			switch i % 7 {
 			case 0:
 				_, _ = r.ReadBit()
 			case 1:
@@ -59,6 +59,16 @@ func FuzzReaderNeverPanics(f *testing.F) {
 				}
 			case 5:
 				_ = r.Skip(int(i) % 70)
+			case 6:
+				left := r.Remaining()
+				if v, err := r.View(int(i) % 70); err == nil {
+					if v.Remaining() != int(i)%70 || r.Remaining() != left-v.Remaining() {
+						t.Fatalf("View(%d) over %d bits: view %d, parent %d left", int(i)%70, left, v.Remaining(), r.Remaining())
+					}
+					_, _ = v.ReadUvarint()
+				} else if r.Remaining() != left {
+					t.Fatal("a failed View consumed bits")
+				}
 			}
 			if r.Remaining() < 0 {
 				t.Fatal("reader over-consumed")

@@ -1,10 +1,13 @@
 package field
 
-// Slice kernels for the block sketching path. The scalar ops (Add, Mul,
-// PowTable.Pow) are exact, so each kernel is value-identical to calling
-// its scalar counterpart per element — the batched forms only amortize
-// call overhead, bounds checks, and table-row cache misses across a block
-// of lanes. Every kernel is allocation-free.
+// Slice kernels for the block sketching path and the referee's lane
+// merge. The scalar ops (Add, Mul, PowTable.Pow) are exact, so each
+// kernel is value-identical to calling its scalar counterpart per
+// element — the batched forms only amortize call overhead, bounds
+// checks, and table-row cache misses across a block of lanes:
+// ReduceBlock, PowBlock and MulBlock compute a block's per-update terms,
+// AddBlock merges one lane into another. Every kernel is
+// allocation-free.
 
 // AddBlock sets dst[i] = Add(dst[i], src[i]). The slices must have equal
 // length.
@@ -14,19 +17,6 @@ func AddBlock(dst, src []Elem) {
 	}
 	for i, s := range src {
 		v := uint64(dst[i]) + uint64(s)
-		if v >= P {
-			v -= P
-		}
-		dst[i] = Elem(v)
-	}
-}
-
-// AddScalarBlock sets dst[i] = Add(dst[i], c). This is the block update's
-// scatter kernel: an ℓ₀ update at level ℓ adds the same term to the cells
-// of levels 0..ℓ, which the bank stores contiguously per lane.
-func AddScalarBlock(dst []Elem, c Elem) {
-	for i, d := range dst {
-		v := uint64(d) + uint64(c)
 		if v >= P {
 			v -= P
 		}
@@ -69,18 +59,23 @@ const powGatherChunk = 64
 // the whole block, rows beyond the block's maximum exponent are skipped
 // entirely, and the per-window products fold in through MulBlock. Values
 // are identical to Pow — a zero window digit selects win[w][0] = 1, the
-// multiplicative identity Pow skips.
+// multiplicative identity Pow skips. Like Pow, it panics when an
+// exponent exceeds the table's bound.
 func (t *PowTable) PowBlock(dst []Elem, es []uint64) {
 	if len(dst) != len(es) {
 		panic("field: PowBlock length mismatch")
 	}
 	var maxE uint64
+	row0 := &t.win[0]
 	for i, e := range es {
-		dst[i] = t.win[0][e&(powWindowSize-1)]
-		maxE |= e
+		dst[i] = row0[e&(powWindowSize-1)]
+		maxE = max(maxE, e)
+	}
+	if maxE > t.bound {
+		t.exceeded(maxE)
 	}
 	var tmp [powGatherChunk]Elem
-	for w := 1; w < powWindows; w++ {
+	for w := 1; w < len(t.win); w++ {
 		shift := uint(w * powWindowBits)
 		if maxE>>shift == 0 {
 			break

@@ -28,15 +28,6 @@ func TestBlockKernelsMatchScalar(t *testing.T) {
 			}
 		}
 
-		c := Reduce(r.Uint64())
-		scl := append([]Elem(nil), a...)
-		AddScalarBlock(scl, c)
-		for i := range scl {
-			if scl[i] != Add(a[i], c) {
-				t.Fatalf("AddScalarBlock[%d] = %d, want %d", i, scl[i], Add(a[i], c))
-			}
-		}
-
 		prod := append([]Elem(nil), a...)
 		MulBlock(prod, b)
 		for i := range prod {
@@ -99,7 +90,6 @@ func TestBlockKernelsZeroAlloc(t *testing.T) {
 	tab := NewPowTable(7)
 	avg := testing.AllocsPerRun(100, func() {
 		AddBlock(a, b)
-		AddScalarBlock(a, 12345)
 		MulBlock(a, b)
 		ReduceBlock(b, es)
 		tab.PowBlock(dst, es)

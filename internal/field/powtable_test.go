@@ -1,6 +1,7 @@
 package field
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -27,6 +28,77 @@ func TestPowTableMatchesPow(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSizedPowTableMatchesPow: a table built for exponents up to a bound
+// holds only the windows that bound reaches, and for every window count
+// its Pow and PowBlock equal the naive chain at random exponents below
+// the bound and at the bound itself; an exponent past the bound panics.
+func TestSizedPowTableMatchesPow(t *testing.T) {
+	src := rng.NewSource(13)
+	for windows := 1; windows <= powWindows; windows++ {
+		top := uint64(1)<<(powWindowBits*windows) - 1 // the largest bound of this window count
+		if windows == powWindows {
+			top = ^uint64(0)
+		}
+		low := top>>powWindowBits + 1 // the smallest bound of this window count
+		for _, bound := range []uint64{low, low + src.Uint64()%(top-low), top} {
+			if windows == 1 && bound == low {
+				bound = 0 // a bound of 0 still gets one window
+			}
+			base := Reduce(src.Uint64())
+			tab := NewPowTableUpTo(base, bound)
+			if tab.Windows() != windows {
+				t.Fatalf("bound %d: %d windows, want %d", bound, tab.Windows(), windows)
+			}
+			es := []uint64{0, bound / 2, bound}
+			for i := 0; i < 100; i++ {
+				e := src.Uint64()
+				if bound != ^uint64(0) {
+					e %= bound + 1
+				}
+				es = append(es, e)
+			}
+			dst := make([]Elem, len(es))
+			tab.PowBlock(dst, es)
+			for i, e := range es {
+				want := Pow(base, e)
+				if got := tab.Pow(e); got != want {
+					t.Fatalf("bound %d: Pow(%d) = %d, want %d", bound, e, got, want)
+				}
+				if dst[i] != want {
+					t.Fatalf("bound %d: PowBlock(%d) = %d, want %d", bound, e, dst[i], want)
+				}
+			}
+			if bound == ^uint64(0) {
+				continue
+			}
+			for name, call := range map[string]func(){
+				"Pow":      func() { tab.Pow(bound + 1) },
+				"PowBlock": func() { tab.PowBlock(make([]Elem, 2), []uint64{1, bound + 1}) },
+			} {
+				want := fmt.Sprintf("field: exponent %d exceeds the PowTable bound %d", bound+1, bound)
+				if got := panicText(call); got != want {
+					t.Fatalf("%s past bound %d: panic %q, want %q", name, bound, got, want)
+				}
+			}
+		}
+	}
+	if w := NewPowTable(3).Windows(); w != powWindows {
+		t.Fatalf("NewPowTable holds %d windows, want %d", w, powWindows)
+	}
+}
+
+// panicText runs f and returns the text it panicked with, or "" when it
+// returned normally.
+func panicText(f func()) (text string) {
+	defer func() {
+		if r := recover(); r != nil {
+			text = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
 }
 
 // TestCachedInvMatchesInv: the cached small-magnitude inverse path must

@@ -9,8 +9,10 @@ package l0
 //     level) are computed for the whole block by the batched field
 //     kernels (field.ReduceBlock, PowTable.PowBlock, hashing.LevelBlock)
 //     before any cell is touched, and
-//   - the scatter into levels 0..ℓ is a contiguous AddScalarBlock per
-//     component, because lanes are stored level-contiguously.
+//   - the scatter writes each update once, into a scratch cell at its
+//     sampled level ℓ, and one top-down pass per touched lane then adds
+//     the running sums into levels 0..ℓ, contiguous because lanes are
+//     stored level-contiguously.
 //
 // On the referee side a lane is one decoded sketch: ReadLane and
 // ReadLaneTolerant unpack a serialized sketch into a lane through the
@@ -95,19 +97,6 @@ func (b *Bank) Levels() int { return b.levels }
 
 // Lanes returns the lane count of the current geometry.
 func (b *Bank) Lanes() int { return b.lanes }
-
-// addRange adds (v, i, f) to lane's cells at levels 0..lvl — the scatter
-// of one ±1 update whose index sampled to level lvl.
-func (b *Bank) addRange(lane int, lvl int32, v, i, f field.Elem) {
-	base := lane * b.levels
-	end := base + int(lvl) + 1
-	field.AddScalarBlock(b.val[base:end], v)
-	field.AddScalarBlock(b.idx[base:end], i)
-	field.AddScalarBlock(b.fp[base:end], f)
-	if lvl+1 > b.top[lane] {
-		b.top[lane] = lvl + 1
-	}
-}
 
 // AddLane merges lane src into lane dst cell-wise — vector addition of
 // the two sketched vectors, for referee-side merging over banked state.
@@ -274,40 +263,70 @@ func (b *Bank) LaneChecksum(lane int) uint32 {
 
 // BlockUpdates collects the ±1 updates of a whole block of vertices —
 // (lane, index, sign) columns — so one gathered list drives every spec's
-// UpdateBlock. The struct also carries the per-spec scratch columns
-// (levels, fingerprint terms, reduced indexes) that UpdateBlock fills;
-// all columns grow to the block's high-water mark and are reused.
+// UpdateBlock. Add numbers the lanes in first-touch order, so the
+// per-spec scratch is sized by the lanes the list touches, not by the
+// bank. The struct also carries the scratch that UpdateBlock fills
+// (levels, fingerprint terms, reduced indexes, per-level sums); all
+// columns grow to the block's high-water mark and are reused.
 type BlockUpdates struct {
 	index []uint64
 	neg   []bool
-	lane  []int32
+	slot  []int32 // update i's lane is touched[slot[i]]
+
+	// touched lists the lanes the updates touch, in first-touch order;
+	// slotOf[lane] is the lane's position there plus one, zero for an
+	// untouched lane.
+	touched []int32
+	slotOf  []int32
 
 	// Scratch recomputed by each UpdateBlock call.
 	lvl  []int32
 	fpT  []field.Elem
 	idxT []field.Elem
 	exp  []uint64
+	// Touched lane k owns the scratch cells sums[off[k]:off[k+1]], one
+	// per level up to the highest its updates sampled to: cell off[k]+ℓ
+	// sums the terms of the lane's updates sampled to exactly level ℓ.
+	// UpdateBlock leaves off and sums all zero.
+	off  []int32
+	sums []oneSparse
 }
 
 // Reset empties the update list, keeping capacity.
 func (u *BlockUpdates) Reset() {
+	for _, lane := range u.touched {
+		u.slotOf[lane] = 0
+	}
+	u.touched = u.touched[:0]
 	u.index = u.index[:0]
 	u.neg = u.neg[:0]
-	u.lane = u.lane[:0]
+	u.slot = u.slot[:0]
 }
 
 // Add appends one ±1 update: delta +1 when negative is false, −1 when
 // true, at the given index, for the given lane of the bank.
 func (u *BlockUpdates) Add(lane int, index uint64, negative bool) {
+	if lane >= len(u.slotOf) {
+		grown := make([]int32, max(lane+1, 2*len(u.slotOf)))
+		copy(grown, u.slotOf)
+		u.slotOf = grown
+	}
+	k := u.slotOf[lane]
+	if k == 0 {
+		u.touched = append(u.touched, int32(lane))
+		k = int32(len(u.touched))
+		u.slotOf[lane] = k
+	}
 	u.index = append(u.index, index)
 	u.neg = append(u.neg, negative)
-	u.lane = append(u.lane, int32(lane))
+	u.slot = append(u.slot, k-1)
 }
 
 // Len returns the number of collected updates.
 func (u *BlockUpdates) Len() int { return len(u.index) }
 
-// ensureScratch sizes the scratch columns for m updates.
+// ensureScratch sizes the per-update scratch for m updates and the cell
+// offsets for the touched lanes.
 func (u *BlockUpdates) ensureScratch(m int) {
 	if cap(u.lvl) < m {
 		u.lvl = make([]int32, m)
@@ -319,6 +338,21 @@ func (u *BlockUpdates) ensureScratch(m int) {
 	u.fpT = u.fpT[:m]
 	u.idxT = u.idxT[:m]
 	u.exp = u.exp[:m]
+	if n := len(u.touched) + 1; cap(u.off) < n {
+		u.off = make([]int32, n)
+	} else {
+		u.off = u.off[:n]
+	}
+}
+
+// ensureSums sizes the per-level sums for n cells. Capacity past the
+// current length is all zero, so they need no clearing when resliced.
+// The cell count varies from spec to spec, so growth doubles.
+func (u *BlockUpdates) ensureSums(n int) {
+	if cap(u.sums) < n {
+		u.sums = make([]oneSparse, n, 2*n)
+	}
+	u.sums = u.sums[:n]
 }
 
 // UpdateBlock applies every collected ±1 update to the bank — the
@@ -330,11 +364,17 @@ func (u *BlockUpdates) ensureScratch(m int) {
 //	all, where the scalar path pays two Muls per touched level.
 //
 // The sampling levels, fingerprint powers, and reduced indexes are
-// computed for the whole block up front by the batched kernels, then a
-// single scatter pass adds each update's terms to its lane's contiguous
-// level range. The bank must have been Reset with this Spec's level
+// computed for the whole block up front by the batched kernels. Each
+// touched lane then owns one scratch cell per level up to its highest
+// sampled one; the scatter adds each update's terms to the one cell of
+// its lane and sampled level, and a fold walks each touched lane's cells
+// from the top down, adding the running suffix sum into the bank and
+// zeroing the scratch: the bank's level ℓ receives the sum
+// of the terms of every update sampled to ℓ or above, exactly what
+// adding each update to levels 0..ℓ gives, since GF(p) addition is exact
+// and commutative. The bank must have been Reset with this Spec's level
 // count and a lane count covering every update's lane. Allocation-free
-// after the scratch columns reach the block's high-water mark.
+// after the scratch reaches the block's high-water mark.
 func (sp Spec) UpdateBlock(b *Bank, u *BlockUpdates) {
 	m := u.Len()
 	if m == 0 {
@@ -346,6 +386,11 @@ func (sp Spec) UpdateBlock(b *Bank, u *BlockUpdates) {
 	for _, ix := range u.index {
 		if ix >= sp.universe {
 			panic(fmt.Sprintf("l0: index %d outside universe %d", ix, sp.universe))
+		}
+	}
+	for _, lane := range u.touched {
+		if int(lane) >= b.lanes {
+			panic(fmt.Sprintf("l0: lane %d outside the bank's %d lanes", lane, b.lanes))
 		}
 	}
 	u.ensureScratch(m)
@@ -361,13 +406,42 @@ func (sp Spec) UpdateBlock(b *Bank, u *BlockUpdates) {
 		}
 	}
 	sp.hash.LevelBlock(u.index, sp.levels-1, u.lvl)
-	for i := 0; i < m; i++ {
+
+	off := u.off
+	for i, k := range u.slot {
+		off[k+1] = max(off[k+1], u.lvl[i]+1)
+	}
+	for k := range u.touched {
+		off[k+1] += off[k]
+	}
+	u.ensureSums(int(off[len(u.touched)]))
+	sums := u.sums
+	for i, k := range u.slot {
 		vT, iT, fT := field.Elem(1), u.idxT[i], u.fpT[i]
 		if u.neg[i] {
 			vT = field.Elem(field.P - 1)
 			iT = field.Neg(iT)
 			fT = field.Neg(fT)
 		}
-		b.addRange(int(u.lane[i]), u.lvl[i], vT, iT, fT)
+		c := &sums[off[k]+u.lvl[i]]
+		c.valSum = field.Add(c.valSum, vT)
+		c.idxSum = field.Add(c.idxSum, iT)
+		c.fpSum = field.Add(c.fpSum, fT)
 	}
+	for k, lane := range u.touched {
+		own := sums[off[k]:off[k+1]]
+		h := len(own)
+		base := int(lane) * b.levels
+		val, idx, fp := b.val[base:base+h], b.idx[base:base+h], b.fp[base:base+h]
+		var run oneSparse
+		for l := h - 1; l >= 0; l-- {
+			run.Add(own[l])
+			own[l] = oneSparse{}
+			val[l] = field.Add(val[l], run.valSum)
+			idx[l] = field.Add(idx[l], run.idxSum)
+			fp[l] = field.Add(fp[l], run.fpSum)
+		}
+		b.top[lane] = max(b.top[lane], int32(h))
+	}
+	clear(off)
 }

@@ -3,9 +3,11 @@ package l0
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bitio"
+	"repro/internal/field"
 	"repro/internal/rng"
 )
 
@@ -75,6 +77,115 @@ func TestBankMatchesScalar(t *testing.T) {
 			if got, want := bank.LaneChecksum(l), scalar[l].Checksum(); got != want {
 				t.Fatalf("trial %d lane %d: LaneChecksum %#x, scalar Checksum %#x", trial, l, got, want)
 			}
+		}
+	}
+}
+
+// TestUpdateBlockOnLoadedLanes: UpdateBlock applied to lanes that
+// already hold cells — loaded with ReadLane, as the skeleton referee
+// loads a sampler before it subtracts earlier forests' edges — matches
+// the scalar Spec.Update reference cell for cell, and leaves each lane's
+// top at one past its highest nonzero-or-touched level: the larger of
+// the loaded cells' watermark and the highest level an update sampled
+// to. One update list serves specs of several universes in turn, so the
+// scratch is reused across level counts.
+func TestUpdateBlockOnLoadedLanes(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	bank := NewBank()
+	var upd BlockUpdates
+	for trial := 0; trial < 12; trial++ {
+		universe := uint64(16 + r.Intn(1<<20))
+		sp := NewSpec(universe, rng.NewPublicCoins(uint64(100+trial)))
+		lanes := 1 + r.Intn(40)
+		bank.Reset(sp.Levels(), lanes)
+		scalar := make([]*Sketch, lanes)
+		wantTop := make([]int32, lanes)
+		for l := range scalar {
+			scalar[l] = sp.NewSketch()
+			for _, u := range randBankUpdates(r, 1, universe, r.Intn(6)) {
+				sp.Update(scalar[l], u.index, 1-2*int64(r.Intn(2)))
+			}
+			var w bitio.Writer
+			scalar[l].Write(&w)
+			if err := sp.ReadLane(bank, l, bitio.ReaderFor(&w)); err != nil {
+				t.Fatal(err)
+			}
+			for lvl, c := range scalar[l].cells {
+				if c.valSum|c.idxSum|c.fpSum != 0 {
+					wantTop[l] = int32(lvl + 1)
+				}
+			}
+		}
+		for block := 0; block < 3; block++ {
+			upd.Reset()
+			for _, u := range randBankUpdates(r, lanes, universe, r.Intn(3*lanes+1)) {
+				upd.Add(u.lane, u.index, u.neg)
+				delta := int64(1)
+				if u.neg {
+					delta = -1
+				}
+				sp.Update(scalar[u.lane], u.index, delta)
+				wantTop[u.lane] = max(wantTop[u.lane], int32(sp.hash.Level(u.index, sp.levels-1)+1))
+			}
+			sp.UpdateBlock(bank, &upd)
+			for l, sk := range scalar {
+				base := l * bank.levels
+				for lvl, c := range sk.cells {
+					got := oneSparse{valSum: bank.val[base+lvl], idxSum: bank.idx[base+lvl], fpSum: bank.fp[base+lvl]}
+					if got != c {
+						t.Fatalf("trial %d block %d lane %d level %d: bank cell %v, scalar %v", trial, block, l, lvl, got, c)
+					}
+				}
+				if bank.top[l] != wantTop[l] {
+					t.Fatalf("trial %d block %d lane %d: top %d, want %d", trial, block, l, bank.top[l], wantTop[l])
+				}
+			}
+			requireZeroScratch(t, &upd)
+		}
+	}
+}
+
+// requireZeroScratch fails unless UpdateBlock left its per-level sums
+// and cell offsets all zero, over their whole capacity.
+func requireZeroScratch(t *testing.T, u *BlockUpdates) {
+	t.Helper()
+	for i, c := range u.sums[:cap(u.sums)] {
+		if c != (oneSparse{}) {
+			t.Fatalf("scratch cell %d left nonzero: %v", i, c)
+		}
+	}
+	for k, o := range u.off[:cap(u.off)] {
+		if o != 0 {
+			t.Fatalf("scratch offset %d left at %d", k, o)
+		}
+	}
+}
+
+// TestSpecTableHoldsOnlyItsWindows: a spec's fingerprint table covers
+// exponents up to its universe and no further. Over universe 256² (17
+// exponent bits, agm-forest at n = 256) that is three 2 KiB windows,
+// where a full 64-bit table holds eight, and deriving the spec allocates
+// less than a fourth window would take.
+func TestSpecTableHoldsOnlyItsWindows(t *testing.T) {
+	const universe = 256 * 256
+	coins := rng.NewPublicCoins(5)
+	sp := NewSpec(universe, coins)
+	if w := sp.zpow.Windows(); w > 3 {
+		t.Fatalf("spec over universe %d holds %d windows, want at most 3", universe, w)
+	}
+	const runs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		sp = NewSpec(universe, coins)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 8<<10 {
+		t.Fatalf("NewSpec over universe %d allocates %d bytes, want under 8 KiB", universe, per)
+	}
+	for _, e := range []uint64{1, universe} {
+		if got, want := sp.powZ(e), field.Pow(sp.z, e); got != want {
+			t.Fatalf("z^%d = %d, want %d", e, got, want)
 		}
 	}
 }
@@ -181,6 +292,7 @@ func TestUpdateBlockZeroAlloc(t *testing.T) {
 	if avg := testing.AllocsPerRun(50, cycle); avg != 0 {
 		t.Fatalf("blocked update cycle allocates %v times per run, want 0", avg)
 	}
+	requireZeroScratch(t, &upd)
 }
 
 // benchBankSetup builds a realistic block: 128 lanes at average degree 8

@@ -113,6 +113,19 @@ func BenchmarkL0Update(b *testing.B) {
 	}
 }
 
+var specSink Spec
+
+// BenchmarkL0NewSpec derives one sampler spec over universe 256², the
+// spec agm-forest derives at n = 256: the level hash, the fingerprint
+// point and its window table, which dominates both time and bytes.
+func BenchmarkL0NewSpec(b *testing.B) {
+	coins := rng.NewPublicCoins(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		specSink = NewSpec(256*256, coins)
+	}
+}
+
 // BenchmarkL0UpdateNaive is the pre-optimization reference: per-level
 // naive exponentiation, for the EXPERIMENTS.md before/after table.
 func BenchmarkL0UpdateNaive(b *testing.B) {

@@ -57,6 +57,13 @@ func (o *oneSparse) update(index uint64, delta int64, fpTerm field.Elem) {
 	o.fpSum = field.Add(o.fpSum, field.Mul(w, fpTerm))
 }
 
+// Add merges another cell into o (vector addition).
+func (o *oneSparse) Add(other oneSparse) {
+	o.valSum = field.Add(o.valSum, other.valSum)
+	o.idxSum = field.Add(o.idxSum, other.idxSum)
+	o.fpSum = field.Add(o.fpSum, other.fpSum)
+}
+
 // recover returns (index, value) if the sketched vector has exactly one
 // nonzero coordinate in [0, universe). The fingerprint makes a false
 // positive on a >1-sparse vector occur with probability at most
@@ -123,8 +130,9 @@ type Spec struct {
 	// this Spec (specs are passed by value; the table is immutable after
 	// NewSpec, so sharing across the engine's workers is safe). It turns
 	// the per-update fingerprint exponentiation into a handful of
-	// multiplies. nil only for zero-value Specs, which fall back to the
-	// naive chain.
+	// multiplies. Fingerprint exponents are index+1 ≤ universe, so it
+	// holds only the windows the universe reaches. nil only for
+	// zero-value Specs, which fall back to the naive chain.
 	zpow *field.PowTable
 }
 
@@ -145,7 +153,7 @@ func NewSpec(universe uint64, coins *rng.PublicCoins) Spec {
 		levels:   levels,
 		hash:     hashing.New(2, coins.Derive("l0-hash").Source()),
 		z:        z,
-		zpow:     field.NewPowTable(z),
+		zpow:     field.NewPowTableUpTo(z, universe),
 	}
 }
 

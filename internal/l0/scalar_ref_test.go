@@ -14,13 +14,6 @@ import (
 // Reader.ReadUint and merged with Sketch.Add. The lane readers, AddLane,
 // SampleLane, LaneIsZero and LaneChecksum are all checked against it.
 
-// Add merges another cell into o (vector addition).
-func (o *oneSparse) Add(other oneSparse) {
-	o.valSum = field.Add(o.valSum, other.valSum)
-	o.idxSum = field.Add(o.idxSum, other.idxSum)
-	o.fpSum = field.Add(o.fpSum, other.fpSum)
-}
-
 // IsZero reports whether the cell is consistent with the all-zero vector.
 func (o *oneSparse) IsZero() bool {
 	return o.valSum == 0 && o.idxSum == 0 && o.fpSum == 0

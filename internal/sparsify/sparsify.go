@@ -152,17 +152,26 @@ func (p *Protocol) Sketch(view core.VertexView, coins *rng.PublicCoins) (*bitio.
 func (p *Protocol) Decode(n int, sketches []*bitio.Reader, coins *rng.PublicCoins) (*Sparsifier, error) {
 	cfg, skels := p.skeletons(n)
 	sp := &Sparsifier{N: n, Weight: make(map[graph.Edge]float64)}
+	// payloads[v] reads vertex v's current level in place in its message.
+	payloads := make([]bitio.Reader, n)
+	levelReaders := make([]*bitio.Reader, n)
+	for v := range levelReaders {
+		levelReaders[v] = &payloads[v]
+	}
 	for i := 0; i < cfg.Levels; i++ {
 		levelCoins := coins.Derive("sparsify").DeriveIndex(i)
 		// The skeleton's fixed sketch length fixes the payload length,
 		// so the recorded one is only checked against it.
 		expected := skels[i].SketchBits(n, levelCoins)
-		// Re-slice each vertex's level-i segment. Sketch wrote the
-		// payload bytes followed by the payload bit length.
-		levelReaders := make([]*bitio.Reader, n)
+		// View each vertex's level-i segment. Sketch wrote the payload
+		// padded to a whole number of bytes, followed by the payload bit
+		// length.
 		for v := 0; v < n; v++ {
 			r := sketches[v]
-			payload, err := r.ReadBytes((expected + 7) / 8)
+			payload, err := r.View(expected)
+			if err == nil {
+				err = r.Skip(-expected & 7)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("sparsify: vertex %d level %d payload: %w", v, i, err)
 			}
@@ -174,7 +183,7 @@ func (p *Protocol) Decode(n int, sketches []*bitio.Reader, coins *rng.PublicCoin
 				return nil, fmt.Errorf("sparsify: vertex %d level %d: length %d, want %d",
 					v, i, recorded, expected)
 			}
-			levelReaders[v] = bitio.NewReader(payload, expected)
+			payloads[v] = payload
 		}
 		forestEdges, err := skels[i].Decode(n, levelReaders, levelCoins)
 		if err != nil {
