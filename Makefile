@@ -92,6 +92,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzWireDecodeRunStats -fuzztime=30s ./internal/wire
 	go test -run='^$$' -fuzz=FuzzWireDecodeRunReport -fuzztime=30s ./internal/wire
 	go test -run='^$$' -fuzz=FuzzAdaptiveFeedback -fuzztime=30s ./internal/wire
+	go test -run='^$$' -fuzz=FuzzAdaptiveDecode -fuzztime=30s ./internal/wire
 	go test -run='^$$' -fuzz=FuzzDynStreamDecode -fuzztime=30s ./internal/dynstream
 	go test -run='^$$' -fuzz=FuzzAGMForestDecode -fuzztime=30s ./internal/agm
 

@@ -394,6 +394,42 @@ func TestCoordinatorDeterministicErrorNotFailedOver(t *testing.T) {
 	}
 }
 
+// TestCoordinatorPoisonSpecNotFailedOver: a spec every backend fails on
+// — equality on a one-vertex graph — comes back as the first backend's
+// 500, with no failover and no backend marked down, and the cluster then
+// still serves a smoke spec byte for byte.
+func TestCoordinatorPoisonSpecNotFailedOver(t *testing.T) {
+	_, co := startCluster(t, 3)
+	poison := wire.RunSpec{Label: "poison", Protocol: "equality-public-coin",
+		Graph: wire.GraphSpec{Kind: "gnp", N: 1, P: 0.5}, Seed: 1}
+	_, err := co.Run(context.Background(), poison)
+	var se *client.StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
+		t.Fatalf("error %v, want the backend's 500 passed through", err)
+	}
+	st := co.Stats(context.Background())
+	if st.Failovers != 0 {
+		t.Fatalf("%d failovers on the poison spec", st.Failovers)
+	}
+	for _, b := range st.Backends {
+		if !b.Alive {
+			t.Fatalf("backend %s marked down by the poison spec", b.Addr)
+		}
+	}
+	smoke := wire.SmokeSpecs(1)[0]
+	want, err := wire.ExecuteSpec(context.Background(), smoke)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := co.Run(context.Background(), smoke)
+	if err != nil {
+		t.Fatalf("smoke spec after the poison spec: %v", err)
+	}
+	if got.Digest() != want.Digest() {
+		t.Fatalf("smoke digest %s, want %s", got.Digest(), want.Digest())
+	}
+}
+
 // TestCoordinatorAllBackendsDead: with the whole cluster gone, run
 // dispatch fails with a 502-shaped error and healthz turns degraded.
 func TestCoordinatorAllBackendsDead(t *testing.T) {

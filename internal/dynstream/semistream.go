@@ -102,72 +102,93 @@ func (p *SemiStream) capEdges(n int) int {
 }
 
 // readReport parses one player's report (uvarint count + neighbor IDs)
-// tolerantly: malformed entries are skipped, and ok reports whether the
-// message parsed cleanly end to end. count is the declared length, for
-// cap accounting.
-func readReport(n, v int, r *bitio.Reader) (neighbors []int, count uint64, ok bool) {
-	ok = true
+// tolerantly, appending the valid IDs to dst: malformed entries are
+// skipped, and ok reports whether the message parsed cleanly end to end.
+// count is the declared length, for cap accounting.
+func readReport(dst []int, n, v int, r *bitio.Reader) (neighbors []int, count uint64, ok bool) {
 	if r == nil || r.Remaining() == 0 {
-		return nil, 0, false
+		return dst, 0, false
 	}
 	k, err := r.ReadUvarint()
 	if err != nil {
-		return nil, 0, false
+		return dst, 0, false
 	}
+	ok = true
 	idWidth := bitio.UintWidth(n)
 	for i := uint64(0); i < k; i++ {
 		u, err := r.ReadUint(idWidth)
 		if err != nil {
-			return neighbors, k, false
+			return dst, k, false
 		}
 		if int(u) >= n || int(u) == v {
 			ok = false
 			continue
 		}
-		neighbors = append(neighbors, int(u))
+		dst = append(dst, int(u))
 	}
-	if r.Remaining() != 0 {
-		ok = false
-	}
-	return neighbors, k, ok
+	return dst, k, ok && r.Remaining() == 0
 }
 
-// pool gathers every edge reported in sealed rounds 0..upto (inclusive),
-// plus the count of messages that failed to parse cleanly per round.
-func (p *SemiStream) pool(n int, t *engine.Transcript, upto int) (edges []graph.Edge, bad []int) {
-	seen := make(map[graph.Edge]bool)
-	bad = make([]int, upto+1)
-	for round := 0; round <= upto; round++ {
-		for v := 0; v < n; v++ {
-			neighbors, _, ok := readReport(n, v, t.Message(round, v))
-			if !ok {
-				bad[round]++
-			}
-			for _, u := range neighbors {
-				e := graph.NewEdge(v, u)
-				if !seen[e] {
-					seen[e] = true
-					edges = append(edges, e)
-				}
+// pool is the referee's edge pool: every edge the sealed passes
+// reported, in pass order, grown one pass at a time by add. Each pass is
+// parsed once, and the same parse counts its damaged reports and every
+// report whose declared length reached the cap.
+type pool struct {
+	n, capEdges int
+	seen        map[graph.Edge]bool
+	edges       []graph.Edge
+	worst       int   // most damaged reports in any one pass
+	capHits     int   // reports whose declared length reached the cap
+	neighbors   []int // readReport's buffer
+}
+
+// add parses sealed pass round into the pool.
+func (pl *pool) add(t *engine.Transcript, round int) {
+	bad := 0
+	for v := 0; v < pl.n; v++ {
+		neighbors, count, ok := readReport(pl.neighbors[:0], pl.n, v, t.Message(round, v))
+		pl.neighbors = neighbors
+		if !ok {
+			bad++
+		}
+		if count >= uint64(pl.capEdges) {
+			pl.capHits++
+		}
+		for _, u := range neighbors {
+			e := graph.NewEdge(v, u)
+			if !pl.seen[e] {
+				pl.seen[e] = true
+				pl.edges = append(pl.edges, e)
 			}
 		}
 	}
-	return edges, bad
+	pl.worst = max(pl.worst, bad)
 }
 
-// refereeState computes the feedback content after the given sealed
-// round: the blossom maximum matching of the pooled edges and the active
-// set (vertices within pool-distance 2k of a free vertex).
-func (p *SemiStream) refereeState(n int, t *engine.Transcript, round int) (matching []graph.Edge, active []bool) {
-	edges, _ := p.pool(n, t, round)
-	pooled := graph.FromEdges(n, edges)
-	matching = graph.MaximumMatching(pooled)
+// poolThrough pools sealed passes 0..upto (inclusive).
+func (p *SemiStream) poolThrough(n int, t *engine.Transcript, upto int) *pool {
+	pl := &pool{n: n, capEdges: p.capEdges(n), seen: make(map[graph.Edge]bool)}
+	for round := 0; round <= upto; round++ {
+		pl.add(t, round)
+	}
+	return pl
+}
+
+// feedback encodes the referee's broadcast for a pool: the blossom
+// maximum matching of the pooled edges (uvarint count, then both
+// endpoints at id width) followed by the n-bit mask of the active set,
+// the vertices within pool-distance 2k of a vertex that matching leaves
+// free.
+func (p *SemiStream) feedback(pl *pool) *bitio.Writer {
+	n := pl.n
+	pooled := graph.FromEdges(n, pl.edges)
+	matching := graph.MaximumMatching(pooled)
 	matched := make([]bool, n)
 	for _, e := range matching {
 		matched[e.U], matched[e.V] = true, true
 	}
 	// BFS to depth 2k from every free vertex, in the pooled graph.
-	active = make([]bool, n)
+	active := make([]bool, n)
 	depth := make([]int, n)
 	queue := make([]int, 0, n)
 	for v := 0; v < n; v++ {
@@ -193,19 +214,6 @@ func (p *SemiStream) refereeState(n int, t *engine.Transcript, round int) (match
 			}
 		}
 	}
-	return matching, active
-}
-
-// Feedback implements engine.Adaptive: after every pass except the last
-// the referee broadcasts its current pool matching (uvarint count, then
-// both endpoints at id width) followed by the n-bit active-set mask.
-// After the final pass the referee is silent.
-func (p *SemiStream) Feedback(round int, t *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
-	if round >= p.Rounds()-1 {
-		return nil, nil
-	}
-	n := t.Players(round)
-	matching, active := p.refereeState(n, t, round)
 	idWidth := bitio.UintWidth(n)
 	w := &bitio.Writer{}
 	w.Grow(bitio.UvarintWidth(uint64(len(matching))) + 2*len(matching)*idWidth + n)
@@ -217,7 +225,17 @@ func (p *SemiStream) Feedback(round int, t *engine.Transcript, coins *rng.Public
 	for v := 0; v < n; v++ {
 		w.WriteBit(active[v])
 	}
-	return w, nil
+	return w
+}
+
+// Feedback implements engine.Adaptive: after every pass except the last
+// the referee broadcasts the feedback of its pool of sealed passes.
+// After the final pass the referee is silent.
+func (p *SemiStream) Feedback(round int, t *engine.Transcript, coins *rng.PublicCoins) (*bitio.Writer, error) {
+	if round >= p.Rounds()-1 {
+		return nil, nil
+	}
+	return p.feedback(p.poolThrough(t.Players(round), t, round)), nil
 }
 
 // readFeedback parses a feedback message into the matched-vertex and
@@ -269,7 +287,7 @@ func readFeedback(n int, r *bitio.Reader) (matched, active []bool, ok bool) {
 func sentBefore(n, v, round int, t *engine.Transcript) map[int]bool {
 	sent := make(map[int]bool)
 	for r := 0; r < round; r++ {
-		neighbors, _, _ := readReport(n, v, t.Message(r, v))
+		neighbors, _, _ := readReport(nil, n, v, t.Message(r, v))
 		for _, u := range neighbors {
 			sent[u] = true
 		}
@@ -350,12 +368,13 @@ func (p *SemiStream) BroadcastBlock(round int, views []core.VertexView, t *engin
 // Decode implements engine.Protocol: the output is the blossom maximum
 // matching of every edge any player ever reported.
 func (p *SemiStream) Decode(n int, t *engine.Transcript, coins *rng.PublicCoins) ([]graph.Edge, error) {
-	edges, _ := p.pool(n, t, p.Rounds()-1)
-	return graph.MaximumMatching(graph.FromEdges(n, edges)), nil
+	pl := p.poolThrough(n, t, p.Rounds()-1)
+	return graph.MaximumMatching(graph.FromEdges(n, pl.edges)), nil
 }
 
-// DecodeResilient is Decode with damage accounting, satisfying
-// engine.ResilientProtocol:
+// DecodeResilient is Decode's output graded for damage, satisfying
+// engine.ResilientProtocol. It grows the pool pass by pass, checking
+// each sealed feedback against the feedback of the pool at that pass:
 //
 //   - ok: every report of every pass parsed cleanly, no report was at
 //     the cap, and every sealed feedback equals the referee's own
@@ -367,40 +386,20 @@ func (p *SemiStream) Decode(n int, t *engine.Transcript, coins *rng.PublicCoins)
 //     sent);
 //   - failed: more than half the players were damaged in some pass.
 func (p *SemiStream) DecodeResilient(n int, t *engine.Transcript, coins *rng.PublicCoins) ([]graph.Edge, core.Resilience, error) {
-	out, err := p.Decode(n, t, coins)
-	if err != nil {
-		return nil, core.ResilienceFailed, err
-	}
-	_, bad := p.pool(n, t, p.Rounds()-1)
-	capEdges := p.capEdges(n)
-	capHits := 0
-	for round := 0; round < p.Rounds(); round++ {
-		for v := 0; v < n; v++ {
-			if _, count, _ := readReport(n, v, t.Message(round, v)); count >= uint64(capEdges) {
-				capHits++
-			}
-		}
-	}
+	pl := p.poolThrough(n, t, 0)
 	fbDamaged := false
 	for round := 0; round < p.Rounds()-1; round++ {
-		w, err := p.Feedback(round, t, coins)
-		if err != nil {
-			return out, core.ResilienceFailed, err
-		}
 		// Both sides keep their padding bits zero, so equal bits mean
 		// equal bytes.
-		if t.FeedbackBitLen(round) != w.Len() || !bytes.Equal(t.AppendFeedback(nil, round), w.Bytes()) {
-			fbDamaged = true
-		}
+		w := p.feedback(pl)
+		fbDamaged = fbDamaged || t.FeedbackBitLen(round) != w.Len() || !bytes.Equal(t.AppendFeedback(nil, round), w.Bytes())
+		pl.add(t, round+1)
 	}
-	worst := 0
-	for _, b := range bad {
-		worst = max(worst, b)
-	}
+	out := graph.MaximumMatching(graph.FromEdges(n, pl.edges))
 	switch {
-	case 2*worst > n:
+	case 2*pl.worst > n:
 		return out, core.ResilienceFailed, nil
-	case worst > 0 || capHits > 0 || fbDamaged:
+	case pl.worst > 0 || pl.capHits > 0 || fbDamaged:
 		return out, core.ResilienceDegraded, nil
 	default:
 		return out, core.ResilienceOK, nil

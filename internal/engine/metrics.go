@@ -165,9 +165,11 @@ type RunStats struct {
 	// rounds and players — the model's communication cost measure.
 	// Player messages only; referee feedback is accounted separately.
 	MaxMessageBits int
-	// RoundMaxBits[r] is the worst-case message length within round r.
-	RoundMaxBits []int
-	// RoundTotalBits[r] is the sum of message lengths within round r.
+	// RoundMaxBits[r] is the worst-case message length within round r,
+	// and RoundTotalBits[r] their sum. They duplicate RoundBits[r]'s
+	// player fields and stay only for the wire stats payload and
+	// perfbench's report check; everything else reads RoundBits.
+	RoundMaxBits   []int
 	RoundTotalBits []int64
 	// TotalBits is the sum of all (player) message lengths.
 	TotalBits int64
@@ -286,12 +288,9 @@ func WriteStats(w io.Writer, s *RunStats) error {
 		return err
 	}
 	for r := 0; r < s.CompletedRounds; r++ {
-		feedback := 0
-		if r < len(s.RoundBits) {
-			feedback = s.RoundBits[r].FeedbackBits
-		}
+		rb := s.RoundBits[r]
 		if _, err := fmt.Fprintf(w, "round %d: max=%d bits total=%d bits feedback=%d bits wall=%s\n",
-			r, s.RoundMaxBits[r], s.RoundTotalBits[r], feedback, s.RoundWall[r]); err != nil {
+			r, rb.PlayerMaxBits, rb.PlayerBits, rb.FeedbackBits, s.RoundWall[r]); err != nil {
 			return err
 		}
 	}

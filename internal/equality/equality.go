@@ -19,10 +19,15 @@ import (
 	"repro/internal/rng"
 )
 
-// restrictedRow returns s_v for the speaking players, nil otherwise.
-func restrictedRow(view core.VertexView) []bool {
+// restrictedRow returns s_v for the speaking players, nil otherwise. The
+// problem compares vertices 0 and 1, so a graph with fewer than two
+// vertices is an error.
+func restrictedRow(view core.VertexView) ([]bool, error) {
+	if view.N < 2 {
+		return nil, fmt.Errorf("equality: need n >= 2 to compare vertices 0 and 1, got n = %d", view.N)
+	}
 	if view.ID > 1 {
-		return nil
+		return nil, nil
 	}
 	row := make([]bool, view.N-2)
 	for _, u := range view.Neighbors {
@@ -30,7 +35,7 @@ func restrictedRow(view core.VertexView) []bool {
 			row[u-2] = true
 		}
 	}
-	return row
+	return row, nil
 }
 
 // Deterministic sends the full restricted row: n-2 bits per speaking
@@ -46,8 +51,12 @@ func (Deterministic) Name() string { return "equality-deterministic" }
 
 // Sketch implements core.Protocol.
 func (Deterministic) Sketch(view core.VertexView, _ *rng.PublicCoins) (*bitio.Writer, error) {
+	row, err := restrictedRow(view)
+	if err != nil {
+		return nil, err
+	}
 	w := &bitio.Writer{}
-	for _, b := range restrictedRow(view) {
+	for _, b := range row {
 		w.WriteBit(b)
 	}
 	return w, nil
@@ -91,6 +100,10 @@ func fingerprintPoint(coins *rng.PublicCoins) field.Elem {
 
 // Sketch implements core.Protocol.
 func (PublicFingerprint) Sketch(view core.VertexView, coins *rng.PublicCoins) (*bitio.Writer, error) {
+	row, err := restrictedRow(view)
+	if err != nil {
+		return nil, err
+	}
 	w := &bitio.Writer{}
 	if view.ID > 1 {
 		return w, nil
@@ -100,7 +113,7 @@ func (PublicFingerprint) Sketch(view core.VertexView, coins *rng.PublicCoins) (*
 	// Horner-style running power: zpow tracks z^{i+1} across the scan,
 	// one Mul per row bit instead of a full Pow per set bit.
 	zpow := z
-	for _, b := range restrictedRow(view) {
+	for _, b := range row {
 		if b {
 			fp = field.Add(fp, zpow)
 		}
@@ -189,12 +202,16 @@ func (p *PrivateCode) samples(points int) int {
 
 // Sketch implements core.Protocol.
 func (p *PrivateCode) Sketch(view core.VertexView, coins *rng.PublicCoins) (*bitio.Writer, error) {
+	row, err := restrictedRow(view)
+	if err != nil {
+		return nil, err
+	}
 	w := &bitio.Writer{}
 	if view.ID > 1 {
 		return w, nil
 	}
 	symbols, points := rsParams(view.N, p.Rate)
-	code := encode(restrictedRow(view), symbols, points)
+	code := encode(row, symbols, points)
 	// Private coins: the referee never derives this stream; the two
 	// players' streams are independent.
 	src := rng.NewSource(coins.Derive("equality-private").DeriveIndex(view.ID).Seed() ^

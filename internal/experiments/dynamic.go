@@ -111,8 +111,8 @@ func E50DynamicMatching(scale Scale, seed uint64) ([]*Table, error) {
 				if ratio < minRatio {
 					minRatio = ratio
 				}
-				playerBits = maxInt64(playerBits, jr.Result.Stats.TotalBits)
-				feedbackBits = maxInt64(feedbackBits, jr.Result.Stats.FeedbackBits)
+				playerBits = max(playerBits, jr.Result.Stats.TotalBits)
+				feedbackBits = max(feedbackBits, jr.Result.Stats.FeedbackBits)
 			}
 			t.AddRow(fmt.Sprintf("%.1f", churn), fmt.Sprintf("%g", eps), p.Rounds(),
 				fmt.Sprintf("%d/%d", epochsOK, epochs), fmt.Sprintf("%.3f", minRatio),

@@ -108,9 +108,9 @@ func E40RoundsVsCommunication(scale Scale, seed uint64) ([]*Table, error) {
 				if v.verify(jr.Result.Output) {
 					ok++
 				}
-				maxMsg = maxInt(maxMsg, jr.Result.Stats.MaxMessageBits)
-				playerBits = maxInt64(playerBits, jr.Result.Stats.TotalBits)
-				feedbackBits = maxInt64(feedbackBits, jr.Result.Stats.FeedbackBits)
+				maxMsg = max(maxMsg, jr.Result.Stats.MaxMessageBits)
+				playerBits = max(playerBits, jr.Result.Stats.TotalBits)
+				feedbackBits = max(feedbackBits, jr.Result.Stats.FeedbackBits)
 			}
 			t.AddRow(n, v.name, v.rounds, fmt.Sprintf("%d/%d", ok, trials),
 				maxMsg, playerBits, feedbackBits)
@@ -141,19 +141,12 @@ func E40RoundsVsCommunication(scale Scale, seed uint64) ([]*Table, error) {
 			if graph.IsMaximalIndependentSet(g, jr.Result.Output) {
 				misOK++
 			}
-			misMaxMsg = maxInt(misMaxMsg, jr.Result.Stats.MaxMessageBits)
-			misPlayerBits = maxInt64(misPlayerBits, jr.Result.Stats.TotalBits)
-			misFeedbackBits = maxInt64(misFeedbackBits, jr.Result.Stats.FeedbackBits)
+			misMaxMsg = max(misMaxMsg, jr.Result.Stats.MaxMessageBits)
+			misPlayerBits = max(misPlayerBits, jr.Result.Stats.TotalBits)
+			misFeedbackBits = max(misFeedbackBits, jr.Result.Stats.FeedbackBits)
 		}
 		t.AddRow(n, "mis-2round-adaptive", 2, fmt.Sprintf("%d/%d", misOK, trials),
 			misMaxMsg, misPlayerBits, misFeedbackBits)
 	}
 	return []*Table{t}, nil
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -254,8 +254,8 @@ func E11TwoRound(scale Scale, seed uint64) ([]*Table, error) {
 			if graph.IsMaximalMatching(g, jr.Result.Output) {
 				mmOK++
 			}
-			mm1 = maxInt(mm1, jr.Result.Stats.RoundMaxBits[0])
-			mm2 = maxInt(mm2, jr.Result.Stats.RoundMaxBits[1])
+			mm1 = max(mm1, jr.Result.Stats.RoundBits[0].PlayerMaxBits)
+			mm2 = max(mm2, jr.Result.Stats.RoundBits[1].PlayerMaxBits)
 		}
 		t.AddRow(n, "matching", fmt.Sprintf("%d/%d", mmOK, trials), mm1, mm2, fmt.Sprintf("%.0f", ref), n)
 
@@ -281,19 +281,12 @@ func E11TwoRound(scale Scale, seed uint64) ([]*Table, error) {
 			if graph.IsMaximalIndependentSet(g, jr.Result.Output) {
 				misOK++
 			}
-			mis1 = maxInt(mis1, jr.Result.Stats.RoundMaxBits[0])
-			mis2 = maxInt(mis2, jr.Result.Stats.RoundMaxBits[1])
+			mis1 = max(mis1, jr.Result.Stats.RoundBits[0].PlayerMaxBits)
+			mis2 = max(mis2, jr.Result.Stats.RoundBits[1].PlayerMaxBits)
 		}
 		t.AddRow(n, "MIS", fmt.Sprintf("%d/%d", misOK, trials), mis1, mis2, fmt.Sprintf("%.0f", ref), n)
 	}
 	return []*Table{t}, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // E12BCCEquivalence witnesses the model equivalence of Section 2.1: a

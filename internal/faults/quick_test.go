@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/dynstream"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -56,6 +57,16 @@ func TestQuickMISNeverSilentlyOK(t *testing.T) {
 	neverSilentlyOK(t,
 		func() engine.Protocol[[]int] { return misproto.NewTwoRound() },
 		func(g *graph.Graph, out []int) bool { return graph.IsMaximalIndependentSet(g, out) })
+}
+
+// TestQuickSemiStreamNeverSilentlyOK holds the semi-streaming matching's
+// pass walker to the same contract: an ok verdict means a matching of g
+// within the protocol's ε of the maximum.
+func TestQuickSemiStreamNeverSilentlyOK(t *testing.T) {
+	eps := dynstream.NewSemiStream(0).EpsOf()
+	neverSilentlyOK(t,
+		func() engine.Protocol[[]graph.Edge] { return dynstream.NewSemiStream(eps) },
+		func(g *graph.Graph, out []graph.Edge) bool { return dynstream.IsApproxMaximumMatching(g, out, eps) })
 }
 
 // TestQuickCleanPlansStayOK: with no drop/corrupt probability the verdict

@@ -39,81 +39,69 @@ func sampleSketch(view core.VertexView, budget int, coins *rng.PublicCoins) *bit
 	return w
 }
 
-// readSampledEdges reconstructs the reported edge set: edge {u,v} is known
-// to the referee if either endpoint reported it.
-func readSampledEdges(n int, sketches []*bitio.Reader) ([]graph.Edge, error) {
-	idWidth := bitio.UintWidth(n)
-	seen := make(map[graph.Edge]bool)
-	var edges []graph.Edge
-	for v := 0; v < n; v++ {
-		k, err := sketches[v].ReadUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("matchproto: sketch %d: %w", v, err)
-		}
-		for i := uint64(0); i < k; i++ {
-			u, err := sketches[v].ReadUint(idWidth)
-			if err != nil {
-				return nil, fmt.Errorf("matchproto: sketch %d: %w", v, err)
-			}
-			if int(u) == v || int(u) >= n {
-				return nil, fmt.Errorf("matchproto: sketch %d reports invalid neighbor %d", v, u)
-			}
-			e := graph.NewEdge(v, int(u))
-			if !seen[e] {
-				seen[e] = true
-				edges = append(edges, e)
-			}
-		}
+// readReport parses one player's report — a uvarint count, then that
+// many neighbor IDs at id width — appending the valid IDs to dst. It is
+// the one reader of every message the matching protocols send, and it
+// tolerates damage: a report that is empty, truncated, longer than its
+// count declares, or names an invalid neighbor yields what parsed, with
+// ok false. count is the declared length, for cap accounting. Players
+// always write the count and never an invalid neighbor, so a clean
+// report has ok true.
+func readReport(dst []int, n, v int, r *bitio.Reader) (neighbors []int, count uint64, ok bool) {
+	if r == nil || r.Remaining() == 0 {
+		return dst, 0, false
 	}
-	return edges, nil
+	k, err := r.ReadUvarint()
+	if err != nil {
+		return dst, 0, false
+	}
+	ok = true
+	idWidth := bitio.UintWidth(n)
+	for i := uint64(0); i < k; i++ {
+		u, err := r.ReadUint(idWidth)
+		if err != nil {
+			return dst, k, false
+		}
+		if int(u) == v || int(u) >= n {
+			ok = false
+			continue
+		}
+		dst = append(dst, int(u))
+	}
+	return dst, k, ok && r.Remaining() == 0
 }
 
-// readSampledEdgesTolerant is readSampledEdges with per-vertex damage
-// tolerance for faulted transcripts: a sketch that is empty, truncated,
-// or reports invalid neighbors contributes what it can and is counted in
-// badVertices instead of failing the whole decode. On an undamaged
-// transcript it returns exactly readSampledEdges' result with
-// badVertices == 0 — players always write at least the count bit and
-// never an invalid neighbor — so clean runs are unaffected.
-func readSampledEdgesTolerant(n int, sketches []*bitio.Reader) (edges []graph.Edge, badVertices int) {
-	idWidth := bitio.UintWidth(n)
+// sampledEdges reconstructs the reported edge set: edge {u,v} is known
+// to the referee if either endpoint reported it. A damaged sketch
+// contributes what parsed and is counted in bad.
+func sampledEdges(n int, sketches []*bitio.Reader) (edges []graph.Edge, bad int) {
 	seen := make(map[graph.Edge]bool)
+	var neighbors []int
 	for v := 0; v < n; v++ {
-		r := sketches[v]
-		bad := false
-		if r == nil || r.Remaining() == 0 {
-			badVertices++
-			continue
+		var ok bool
+		neighbors, _, ok = readReport(neighbors[:0], n, v, sketches[v])
+		if !ok {
+			bad++
 		}
-		k, err := r.ReadUvarint()
-		if err != nil {
-			badVertices++
-			continue
-		}
-		for i := uint64(0); i < k; i++ {
-			u, err := r.ReadUint(idWidth)
-			if err != nil {
-				bad = true
-				break
-			}
-			if int(u) == v || int(u) >= n {
-				bad = true
-				continue
-			}
-			e := graph.NewEdge(v, int(u))
+		for _, u := range neighbors {
+			e := graph.NewEdge(v, u)
 			if !seen[e] {
 				seen[e] = true
 				edges = append(edges, e)
 			}
 		}
-		if r.Remaining() != 0 {
-			bad = true // longer than its own count declared
-		}
-		if bad {
-			badVertices++
-		}
 	}
-	return edges, badVertices
+	return edges, bad
+}
+
+// decodeSampledEdges is the one-round referees' reading: the reported
+// edge set, or an error when any sketch was damaged.
+func decodeSampledEdges(n int, sketches []*bitio.Reader) ([]graph.Edge, error) {
+	edges, bad := sampledEdges(n, sketches)
+	if bad > 0 {
+		return nil, fmt.Errorf("matchproto: %d of %d sketches damaged", bad, n)
+	}
+	return edges, nil
 }
 
 // EdgeSample is the bounded-budget candidate protocol: every vertex
@@ -142,7 +130,7 @@ func (p *EdgeSample) Sketch(view core.VertexView, coins *rng.PublicCoins) (*biti
 
 // Decode implements core.Protocol.
 func (p *EdgeSample) Decode(n int, sketches []*bitio.Reader, coins *rng.PublicCoins) ([]graph.Edge, error) {
-	edges, err := readSampledEdges(n, sketches)
+	edges, err := decodeSampledEdges(n, sketches)
 	if err != nil {
 		return nil, err
 	}

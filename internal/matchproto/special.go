@@ -47,7 +47,7 @@ func (p *SpecialFilter) Sketch(view core.VertexView, coins *rng.PublicCoins) (*b
 // Decode implements core.Protocol: keep reported edges that are special
 // slots of some copy.
 func (p *SpecialFilter) Decode(n int, sketches []*bitio.Reader, _ *rng.PublicCoins) ([]graph.Edge, error) {
-	reported, err := readSampledEdges(n, sketches)
+	reported, err := decodeSampledEdges(n, sketches)
 	if err != nil {
 		return nil, err
 	}

@@ -71,16 +71,15 @@ func (p *TwoRound) capEdges(n int) int {
 
 // round1Matching computes the canonical greedy matching of the round-1
 // broadcasts — the referee-side derivation behind the feedback message.
-// Parsing is tolerant so that a faulted round-1 transcript (dropped or
-// corrupted sketches) never aborts the run: damaged sketches contribute
-// what they can and are counted in r1bad, which DecodeResilient folds
-// into its verdict. On clean transcripts tolerance changes nothing.
+// Damaged sketches contribute what they can and are counted in r1bad,
+// which DecodeResilient folds into its verdict, so a faulted round-1
+// transcript never aborts the run.
 func (p *TwoRound) round1Matching(n int, transcript *engine.Transcript, coins *rng.PublicCoins) ([]graph.Edge, int) {
 	sketches := make([]*bitio.Reader, n)
 	for v := 0; v < n; v++ {
 		sketches[v] = transcript.Message(0, v)
 	}
-	edges, r1bad := readSampledEdgesTolerant(n, sketches)
+	edges, r1bad := sampledEdges(n, sketches)
 	order := coins.Derive("2r-order").Source().Perm(len(edges))
 	shuffled := make([]graph.Edge, len(edges))
 	for i, j := range order {
@@ -215,44 +214,64 @@ func residualReport(view core.VertexView, matched []bool, capEdges, idWidth int,
 	return w
 }
 
-// Decode implements engine.Protocol. The referee interprets round-2
-// reports against the M₁ it broadcast as feedback — the sealed feedback
-// is what the players actually acted on, so decoding against it keeps
-// referee and players consistent even over a damaged feedback channel.
-func (p *TwoRound) Decode(n int, transcript *engine.Transcript, coins *rng.PublicCoins) ([]graph.Edge, error) {
-	fed, matched, _ := readMatchingFeedback(n, transcript.Feedback(0))
-	m1 := graph.GreedyMaximalMatchingEdgeOrder(n, fed)
-	idWidth := bitio.UintWidth(n)
+// round2 is what the referee's reading of a run met besides its output:
+// the M₁ the sealed feedback carries, whether that feedback parsed
+// cleanly, and the round-2 reports that were damaged or at the cap.
+type round2 struct {
+	fed          []graph.Edge
+	fbOK         bool
+	bad, capHits int
+}
+
+// decode is the referee's one reading of a run, under both Decode and
+// DecodeResilient. It interprets round-2 reports against the M₁ it
+// broadcast as feedback — the sealed feedback is what the players
+// actually acted on, so decoding against it keeps referee and players
+// consistent even over a damaged downlink — and augments that M₁
+// greedily with whatever round-2 material parses.
+func (p *TwoRound) decode(n int, transcript *engine.Transcript) ([]graph.Edge, round2) {
+	fed, matched, fbOK := readMatchingFeedback(n, transcript.Feedback(0))
+	d := round2{fed: fed, fbOK: fbOK}
+	capEdges := p.capEdges(n)
 	var residualEdges []graph.Edge
+	var neighbors []int
 	seen := make(map[graph.Edge]bool)
 	for v := 0; v < n; v++ {
-		r := transcript.Message(1, v)
-		k, err := r.ReadUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("matchproto: round-2 message %d: %w", v, err)
+		var k uint64
+		var ok bool
+		neighbors, k, ok = readReport(neighbors[:0], n, v, transcript.Message(1, v))
+		if !ok || (matched[v] && k != 0) { // matched vertices broadcast an empty report
+			d.bad++
 		}
-		for i := uint64(0); i < k; i++ {
-			u, err := r.ReadUint(idWidth)
-			if err != nil {
-				return nil, fmt.Errorf("matchproto: round-2 message %d: %w", v, err)
-			}
-			if int(u) == v || int(u) >= n || matched[v] || matched[int(u)] {
-				continue
-			}
-			e := graph.NewEdge(v, int(u))
-			if !seen[e] {
+		if int64(k) >= int64(capEdges) {
+			d.capHits++ // at (or corrupted past) the cap: possible truncation
+		}
+		if matched[v] {
+			continue
+		}
+		for _, u := range neighbors {
+			e := graph.NewEdge(v, u)
+			if !matched[u] && !seen[e] {
 				seen[e] = true
 				residualEdges = append(residualEdges, e)
 			}
 		}
 	}
+	m1 := graph.GreedyMaximalMatchingEdgeOrder(n, fed)
 	m2 := graph.GreedyMaximalMatchingEdgeOrder(n, residualEdges)
-	return append(m1, m2...), nil
+	return append(m1, m2...), d
 }
 
-// DecodeResilient is Decode with graceful degradation over damaged
-// transcripts, satisfying engine.ResilientProtocol. The referee augments
-// M₁ with whatever round-2 material parses, and classifies the run:
+// Decode implements engine.Protocol: DecodeResilient's output, without
+// the referee's recheck of round 1 and the verdict.
+func (p *TwoRound) Decode(n int, transcript *engine.Transcript, _ *rng.PublicCoins) ([]graph.Edge, error) {
+	out, _ := p.decode(n, transcript)
+	return out, nil
+}
+
+// DecodeResilient is Decode's output graded for damage, satisfying
+// engine.ResilientProtocol. On top of decode's counts the referee
+// recomputes M₁ from the sealed round 1, and classifies the run:
 //
 //   - ok: every message of both rounds parsed cleanly, the feedback
 //     matched the referee's own recomputation, and no residual list was
@@ -269,69 +288,16 @@ func (p *TwoRound) Decode(n int, transcript *engine.Transcript, coins *rng.Publi
 // from message contents alone; faults.Run's channel-record folding
 // covers that case, so a faulted run is never reported ok end to end.
 func (p *TwoRound) DecodeResilient(n int, transcript *engine.Transcript, coins *rng.PublicCoins) ([]graph.Edge, core.Resilience, error) {
-	// Decode against the sealed feedback (what the players saw), but
-	// recompute the true M₁ from round 1 to both count damaged sketches
+	out, d := p.decode(n, transcript)
+	// Recompute the true M₁ from round 1 to both count damaged sketches
 	// and detect a perturbed downlink: the referee knows exactly what it
 	// broadcast, so any divergence is detected damage.
-	fed, matched, fbOK := readMatchingFeedback(n, transcript.Feedback(0))
 	trueM1, r1bad := p.round1Matching(n, transcript, coins)
-	fbDamaged := !fbOK || !slices.Equal(fed, trueM1)
-	m1 := graph.GreedyMaximalMatchingEdgeOrder(n, fed)
-	idWidth := bitio.UintWidth(n)
-	capEdges := p.capEdges(n)
-	r2bad, capHits := 0, 0
-	var residualEdges []graph.Edge
-	seen := make(map[graph.Edge]bool)
-	for v := 0; v < n; v++ {
-		r := transcript.Message(1, v)
-		bad := false
-		if r == nil || r.Remaining() == 0 {
-			r2bad++
-			continue
-		}
-		k, err := r.ReadUvarint()
-		if err != nil {
-			r2bad++
-			continue
-		}
-		if matched[v] && k != 0 {
-			bad = true // matched vertices broadcast an empty report
-		}
-		if int64(k) >= int64(capEdges) {
-			capHits++ // at (or corrupted past) the cap: possible truncation
-		}
-		for i := uint64(0); i < k; i++ {
-			u, err := r.ReadUint(idWidth)
-			if err != nil {
-				bad = true
-				break
-			}
-			if int(u) == v || int(u) >= n {
-				bad = true
-				continue
-			}
-			if matched[v] || matched[int(u)] {
-				continue
-			}
-			e := graph.NewEdge(v, int(u))
-			if !seen[e] {
-				seen[e] = true
-				residualEdges = append(residualEdges, e)
-			}
-		}
-		if r.Remaining() != 0 {
-			bad = true // longer than its own count declared
-		}
-		if bad {
-			r2bad++
-		}
-	}
-	m2 := graph.GreedyMaximalMatchingEdgeOrder(n, residualEdges)
-	out := append(m1, m2...)
+	fbDamaged := !d.fbOK || !slices.Equal(d.fed, trueM1)
 	switch {
-	case 2*r1bad > n || 2*r2bad > n:
+	case 2*r1bad > n || 2*d.bad > n:
 		return out, core.ResilienceFailed, nil
-	case r1bad > 0 || r2bad > 0 || capHits > 0 || fbDamaged:
+	case r1bad > 0 || d.bad > 0 || d.capHits > 0 || fbDamaged:
 		return out, core.ResilienceDegraded, nil
 	default:
 		return out, core.ResilienceOK, nil

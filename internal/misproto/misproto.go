@@ -37,69 +37,56 @@ func sampleSketch(view core.VertexView, budget int, coins *rng.PublicCoins) *bit
 	return w
 }
 
-// readSampledGraph rebuilds the reported subgraph.
-func readSampledGraph(n int, sketches []*bitio.Reader) (*graph.Graph, error) {
-	idWidth := bitio.UintWidth(n)
-	b := graph.NewBuilder(n)
-	for v := 0; v < n; v++ {
-		k, err := sketches[v].ReadUvarint()
-		if err != nil {
-			return nil, fmt.Errorf("misproto: sketch %d: %w", v, err)
-		}
-		for i := uint64(0); i < k; i++ {
-			u, err := sketches[v].ReadUint(idWidth)
-			if err != nil {
-				return nil, fmt.Errorf("misproto: sketch %d: %w", v, err)
-			}
-			if int(u) != v && int(u) < n {
-				b.AddEdge(v, int(u))
-			}
-		}
+// readIDs parses one ID list — a uvarint count, then that many IDs at
+// id width — appending the valid IDs to dst. It is the one list reader
+// of every message the MIS protocols send, and it tolerates damage: a
+// list cut short, or naming v itself or an ID ≥ n, yields what parsed
+// with ok false. count is the declared length, for cap accounting.
+// Players never write an invalid ID, so a clean list has ok true.
+func readIDs(dst []int, r *bitio.Reader, n, v int) (ids []int, count uint64, ok bool) {
+	k, err := r.ReadUvarint()
+	if err != nil {
+		return dst, 0, false
 	}
-	return b.Build(), nil
+	ok = true
+	idWidth := bitio.UintWidth(n)
+	for i := uint64(0); i < k; i++ {
+		u, err := r.ReadUint(idWidth)
+		if err != nil {
+			return dst, k, false
+		}
+		if int(u) == v || int(u) >= n {
+			ok = false
+			continue
+		}
+		dst = append(dst, int(u))
+	}
+	return dst, k, ok
 }
 
-// readSampledGraphTolerant is readSampledGraph with per-vertex damage
-// tolerance for faulted transcripts: empty, truncated, or invalid-entry
-// sketches contribute what they can and are counted in badVertices. On an
-// undamaged transcript it matches readSampledGraph with badVertices == 0,
-// so clean runs are unaffected.
-func readSampledGraphTolerant(n int, sketches []*bitio.Reader) (*graph.Graph, int) {
-	idWidth := bitio.UintWidth(n)
+// sampledGraph rebuilds the reported subgraph. A sketch that is empty,
+// damaged, or longer than its list declares contributes what parsed and
+// is counted in bad.
+func sampledGraph(n int, sketches []*bitio.Reader) (*graph.Graph, int) {
 	b := graph.NewBuilder(n)
-	badVertices := 0
+	bad := 0
+	var neighbors []int
 	for v := 0; v < n; v++ {
 		r := sketches[v]
-		bad := false
 		if r == nil || r.Remaining() == 0 {
-			badVertices++
+			bad++
 			continue
 		}
-		k, err := r.ReadUvarint()
-		if err != nil {
-			badVertices++
-			continue
+		var ok bool
+		neighbors, _, ok = readIDs(neighbors[:0], r, n, v)
+		for _, u := range neighbors {
+			b.AddEdge(v, u)
 		}
-		for i := uint64(0); i < k; i++ {
-			u, err := r.ReadUint(idWidth)
-			if err != nil {
-				bad = true
-				break
-			}
-			if int(u) != v && int(u) < n {
-				b.AddEdge(v, int(u))
-			} else {
-				bad = true
-			}
-		}
-		if r.Remaining() != 0 {
-			bad = true // longer than its own count declared
-		}
-		if bad {
-			badVertices++
+		if !ok || r.Remaining() != 0 {
+			bad++
 		}
 	}
-	return b.Build(), badVertices
+	return b.Build(), bad
 }
 
 // NeighborSample is the bounded-budget one-round candidate: every vertex
@@ -127,9 +114,9 @@ func (p *NeighborSample) Sketch(view core.VertexView, coins *rng.PublicCoins) (*
 
 // Decode implements core.Protocol.
 func (p *NeighborSample) Decode(n int, sketches []*bitio.Reader, coins *rng.PublicCoins) ([]int, error) {
-	g, err := readSampledGraph(n, sketches)
-	if err != nil {
-		return nil, err
+	g, bad := sampledGraph(n, sketches)
+	if bad > 0 {
+		return nil, fmt.Errorf("misproto: %d of %d sketches damaged", bad, n)
 	}
 	order := coins.Derive("mis-order").Source().Perm(n)
 	return graph.GreedyMIS(g, order), nil

@@ -90,18 +90,17 @@ func sharedRank(n int, coins *rng.PublicCoins) (rank, pos []int) {
 	return rank, pos
 }
 
-// candidateSet computes S₁ from the round-1 broadcasts — the referee-side
-// derivation behind the feedback message. Parsing is tolerant so a
-// faulted round-1 transcript never aborts the run: damaged sketches
+// candidateSet computes S₁ from the round-1 broadcasts — the
+// referee-side derivation behind the feedback message. Damaged sketches
 // contribute what they can and are counted in r1bad, which
-// DecodeResilient folds into its verdict. Clean transcripts are parsed
-// identically to the strict reader.
+// DecodeResilient folds into its verdict, so a faulted round-1
+// transcript never aborts the run.
 func (p *TwoRound) candidateSet(n int, transcript *engine.Transcript, rank []int) (s1 []int, r1bad int) {
 	sketches := make([]*bitio.Reader, n)
 	for v := 0; v < n; v++ {
 		sketches[v] = transcript.Message(0, v)
 	}
-	sampled, r1bad := readSampledGraphTolerant(n, sketches)
+	sampled, r1bad := sampledGraph(n, sketches)
 	return graph.GreedyMIS(sampled, rank), r1bad
 }
 
@@ -254,68 +253,74 @@ func round2Report(view core.VertexView, pos []int, inS1 []bool, limit, idWidth i
 	return w
 }
 
-// Decode implements engine.Protocol. The referee interprets round-2
-// reports against the S₁ it broadcast as feedback — the sealed feedback
-// is what the players actually acted on, so decoding against it keeps
-// referee and players consistent even over a damaged feedback channel.
-func (p *TwoRound) Decode(n int, transcript *engine.Transcript, coins *rng.PublicCoins) ([]int, error) {
-	rank, _ := sharedRank(n, coins)
-	s1, inS1, _ := readCandidateFeedback(n, transcript.Feedback(0))
-	idWidth := bitio.UintWidth(n)
-	dominators := make([][]int, n)
-	residual := make([][]int, n)
-
-	readList := func(r *bitio.Reader, v int) ([]int, error) {
-		k, err := r.ReadUvarint()
-		if err != nil {
-			return nil, err
-		}
-		var out []int
-		for i := uint64(0); i < k; i++ {
-			u, err := r.ReadUint(idWidth)
-			if err != nil {
-				return nil, err
-			}
-			if int(u) != v && int(u) < n {
-				out = append(out, int(u))
-			}
-		}
-		return out, nil
-	}
-
-	for v := 0; v < n; v++ {
-		r := transcript.Message(1, v)
-		var err error
-		if inS1[v] {
-			var conflict bool
-			conflict, err = r.ReadBit()
-			if err != nil {
-				return nil, fmt.Errorf("misproto: round-2 message %d: %w", v, err)
-			}
-			if !conflict {
-				continue
-			}
-			if dominators[v], err = readList(r, v); err != nil {
-				return nil, fmt.Errorf("misproto: round-2 message %d: %w", v, err)
-			}
-			continue
-		}
-		if dominators[v], err = readList(r, v); err != nil {
-			return nil, fmt.Errorf("misproto: round-2 message %d: %w", v, err)
-		}
-		if residual[v], err = readList(r, v); err != nil {
-			return nil, fmt.Errorf("misproto: round-2 message %d: %w", v, err)
-		}
-	}
-
-	return assembleMIS(n, rank, s1, inS1, dominators, residual), nil
+// round2 is what the referee's reading of a run met besides its output:
+// the S₁ the sealed feedback carries, whether that feedback parsed
+// cleanly, and the round-2 messages that were damaged or held a list at
+// the cap.
+type round2 struct {
+	s1           []int
+	fbOK         bool
+	bad, capHits int
 }
 
-// assembleMIS is the referee's combination step shared by Decode and
-// DecodeResilient: a true greedy MIS F of the conflict graph on S₁ (every
-// conflict edge was reported by its larger-rank endpoint, so within S₁
-// the referee has complete knowledge), extended in rank order with
-// undominated non-S₁ vertices using every reported edge.
+// decode is the referee's one reading of a run, under both Decode and
+// DecodeResilient. It interprets round-2 reports against the S₁ it
+// broadcast as feedback — the sealed feedback is what the players
+// actually acted on, so decoding against it keeps referee and players
+// consistent even over a damaged downlink. A damaged round-2 message
+// contributes the lists that parsed, costing the rest of its conflict
+// reports and domination witnesses.
+func (p *TwoRound) decode(n int, transcript *engine.Transcript, rank []int) ([]int, round2) {
+	s1, inS1, fbOK := readCandidateFeedback(n, transcript.Feedback(0))
+	d := round2{s1: s1, fbOK: fbOK}
+	limit := p.listCap(n)
+	dominators := make([][]int, n)
+	residual := make([][]int, n)
+	nextList := func(r *bitio.Reader, v int) ([]int, bool) {
+		ids, k, ok := readIDs(nil, r, n, v)
+		if int64(k) >= int64(limit) {
+			d.capHits++ // at (or corrupted past) the cap: possible truncation
+		}
+		return ids, ok
+	}
+	for v := 0; v < n; v++ {
+		r := transcript.Message(1, v)
+		if r.Remaining() == 0 {
+			d.bad++
+			continue
+		}
+		ok := true
+		if inS1[v] {
+			// The message is non-empty, so its conflict bit reads.
+			if conflict, _ := r.ReadBit(); conflict {
+				dominators[v], ok = nextList(r, v)
+			}
+		} else {
+			dominators[v], ok = nextList(r, v)
+			if ok {
+				residual[v], ok = nextList(r, v)
+			}
+		}
+		if !ok || r.Remaining() != 0 { // a damaged list, or bits past the lists
+			d.bad++
+		}
+	}
+	return assembleMIS(n, rank, s1, inS1, dominators, residual), d
+}
+
+// Decode implements engine.Protocol: DecodeResilient's output, without
+// the referee's recheck of round 1 and the verdict.
+func (p *TwoRound) Decode(n int, transcript *engine.Transcript, coins *rng.PublicCoins) ([]int, error) {
+	rank, _ := sharedRank(n, coins)
+	out, _ := p.decode(n, transcript, rank)
+	return out, nil
+}
+
+// assembleMIS is the referee's combination step in decode: a true
+// greedy MIS F of the conflict graph on S₁ (every conflict edge was
+// reported by its larger-rank endpoint, so within S₁ the referee has
+// complete knowledge), extended in rank order with undominated non-S₁
+// vertices using every reported edge.
 func assembleMIS(n int, rank, s1 []int, inS1 []bool, dominators, residual [][]int) []int {
 	conflictB := graph.NewBuilder(n)
 	for _, v := range s1 {
@@ -373,12 +378,11 @@ func assembleMIS(n int, rank, s1 []int, inS1 []bool, dominators, residual [][]in
 	return out
 }
 
-// DecodeResilient is Decode with graceful degradation over damaged
-// transcripts, satisfying engine.ResilientProtocol. Damaged round-1
-// sketches shrink the sampled graph (possibly inflating S₁); damaged
-// round-2 messages are skipped, costing their conflict reports and
-// domination witnesses; a sealed feedback that diverges from the
-// referee's own recomputed S₁ is a detected downlink fault. Verdicts
+// DecodeResilient is Decode's output graded for damage, satisfying
+// engine.ResilientProtocol. On top of decode's counts the referee
+// recomputes S₁ from the sealed round 1: damaged round-1 sketches shrink
+// that sampled graph (possibly inflating S₁), and a sealed feedback that
+// diverges from the recomputation is a detected downlink fault. Verdicts
 // mirror matchproto.TwoRound:
 //
 //   - ok: every message of both rounds parsed cleanly, the feedback
@@ -393,78 +397,13 @@ func assembleMIS(n int, rank, s1 []int, inS1 []bool, dominators, residual [][]in
 // contents alone; faults.Run's channel-record folding covers that case.
 func (p *TwoRound) DecodeResilient(n int, transcript *engine.Transcript, coins *rng.PublicCoins) ([]int, core.Resilience, error) {
 	rank, _ := sharedRank(n, coins)
-	s1, inS1, fbOK := readCandidateFeedback(n, transcript.Feedback(0))
+	out, d := p.decode(n, transcript, rank)
 	trueS1, r1bad := p.candidateSet(n, transcript, rank)
-	fbDamaged := !fbOK || !slices.Equal(s1, trueS1)
-	idWidth := bitio.UintWidth(n)
-	limit := p.listCap(n)
-	dominators := make([][]int, n)
-	residual := make([][]int, n)
-	r2bad, capHits := 0, 0
-
-	readListTolerant := func(r *bitio.Reader, v int) ([]int, bool) {
-		k, err := r.ReadUvarint()
-		if err != nil {
-			return nil, false
-		}
-		if int64(k) >= int64(limit) {
-			capHits++ // at (or corrupted past) the cap: possible truncation
-		}
-		ok := true
-		var out []int
-		for i := uint64(0); i < k; i++ {
-			u, err := r.ReadUint(idWidth)
-			if err != nil {
-				return out, false
-			}
-			if int(u) != v && int(u) < n {
-				out = append(out, int(u))
-			} else {
-				ok = false
-			}
-		}
-		return out, ok
-	}
-
-	for v := 0; v < n; v++ {
-		r := transcript.Message(1, v)
-		bad := false
-		if r == nil || r.Remaining() == 0 {
-			r2bad++
-			continue
-		}
-		if inS1[v] {
-			conflict, err := r.ReadBit()
-			if err != nil {
-				r2bad++
-				continue
-			}
-			if conflict {
-				var ok bool
-				dominators[v], ok = readListTolerant(r, v)
-				bad = bad || !ok
-			}
-		} else {
-			var ok bool
-			dominators[v], ok = readListTolerant(r, v)
-			if ok {
-				residual[v], ok = readListTolerant(r, v)
-			}
-			bad = bad || !ok
-		}
-		if r.Remaining() != 0 {
-			bad = true // longer than its own lists declared
-		}
-		if bad {
-			r2bad++
-		}
-	}
-
-	out := assembleMIS(n, rank, s1, inS1, dominators, residual)
+	fbDamaged := !d.fbOK || !slices.Equal(d.s1, trueS1)
 	switch {
-	case 2*r1bad > n || 2*r2bad > n:
+	case 2*r1bad > n || 2*d.bad > n:
 		return out, core.ResilienceFailed, nil
-	case r1bad > 0 || r2bad > 0 || capHits > 0 || fbDamaged:
+	case r1bad > 0 || d.bad > 0 || d.capHits > 0 || fbDamaged:
 		return out, core.ResilienceDegraded, nil
 	default:
 		return out, core.ResilienceOK, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -619,6 +620,33 @@ func TestBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/run: status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestPoisonSpecAnswers500: a spec its protocol cannot run on — equality
+// compares vertices 0 and 1, and this graph has one vertex — gets a
+// deterministic 500 from the daemon, which then still serves a smoke
+// spec byte for byte.
+func TestPoisonSpecAnswers500(t *testing.T) {
+	_, c := newTestServer(t, server.Config{CacheBytes: 1 << 20})
+	poison := wire.RunSpec{Label: "poison", Protocol: "equality-public-coin",
+		Graph: wire.GraphSpec{Kind: "gnp", N: 1, P: 0.5}, Seed: 1}
+	_, err := c.Run(context.Background(), poison)
+	var se *client.StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
+		t.Fatalf("poison spec: error %v, want a 500", err)
+	}
+	smoke := wire.SmokeSpecs(1)[0]
+	want, err := wire.ExecuteSpec(context.Background(), smoke)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Run(context.Background(), smoke)
+	if err != nil {
+		t.Fatalf("smoke spec after the poison spec: %v", err)
+	}
+	if got.Digest() != want.Digest() {
+		t.Fatalf("smoke digest %s, want %s", got.Digest(), want.Digest())
 	}
 }
 

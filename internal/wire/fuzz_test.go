@@ -3,11 +3,17 @@ package wire
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/bitio"
 	"repro/internal/core"
+	"repro/internal/dynstream"
 	"repro/internal/engine"
+	"repro/internal/graph"
+	"repro/internal/matchproto"
+	"repro/internal/misproto"
 	"repro/internal/rng"
 )
 
@@ -231,4 +237,121 @@ func FuzzAdaptiveFeedback(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzAdaptiveDecode: each adaptive protocol reads every message through
+// one tolerant reader, so Decode must return DecodeResilient's output on
+// any transcript, however damaged. For each of mm-tworound, mis-tworound
+// and semistream-matching it seals a clean run of a small graph, flips
+// or truncates the player messages and feedback slots the input names,
+// in any round, and requires both decoders to return the same output
+// with no error and no panic.
+//
+// The input is read in 4-byte chunks. The first byte picks the lane
+// (bit 0: player message or feedback slot), the damage (bit 1: flip one
+// bit or truncate) and the round (the other bits); the second picks the
+// player; the last two pick the bit to flip or the length to cut to.
+func FuzzAdaptiveDecode(f *testing.F) {
+	g, err := BuildGraph(GraphSpec{Kind: "gnp", N: 24, P: 0.3, Seed: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	coins := rng.NewPublicCoins(7)
+	cases := []adaptiveDecodeCase{
+		sealAdaptive[[]graph.Edge](f, "mm-tworound", matchproto.NewTwoRound(), g, coins),
+		sealAdaptive[[]int](f, "mis-tworound", misproto.NewTwoRound(), g, coins),
+		sealAdaptive[[]graph.Edge](f, "semistream-matching", dynstream.NewSemiStream(dynstream.DefaultEps), g, coins),
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0, 3, 0, 5})                   // flip a bit of a round-0 message
+	f.Add([]byte{2, 3, 0, 0})                   // cut a round-0 message to nothing
+	f.Add([]byte{1, 0, 0, 9, 6, 11, 0, 4})      // flip a feedback bit, cut a round-1 message
+	f.Add([]byte{3, 0, 0, 3, 0xff, 0xff, 0, 2}) // cut round 0's feedback, then a later round's
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, c := range cases {
+			if err := c.check(damaged(c.clean, data)); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		}
+	})
+}
+
+// adaptiveDecodeCase is one protocol's sealed clean run plus the check
+// FuzzAdaptiveDecode makes on every damaged copy of it.
+type adaptiveDecodeCase struct {
+	name  string
+	clean *engine.Transcript
+	check func(*engine.Transcript) error
+}
+
+func sealAdaptive[O any](f *testing.F, name string, p engine.ResilientProtocol[O], g *graph.Graph, coins *rng.PublicCoins) adaptiveDecodeCase {
+	_, clean, err := engine.RunWithTranscript(context.Background(), &engine.Engine{Workers: 1}, p, g, coins)
+	if err != nil {
+		f.Fatalf("%s: %v", name, err)
+	}
+	n := g.N()
+	check := func(tr *engine.Transcript) error {
+		got, err := p.Decode(n, tr, coins)
+		if err != nil {
+			return fmt.Errorf("Decode: %w", err)
+		}
+		want, _, err := p.DecodeResilient(n, tr, coins)
+		if err != nil {
+			return fmt.Errorf("DecodeResilient: %w", err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("Decode returned %v, DecodeResilient %v", got, want)
+		}
+		return nil
+	}
+	return adaptiveDecodeCase{name: name, clean: clean, check: check}
+}
+
+// damaged copies a sealed transcript, flipping or truncating the lanes
+// data names (see FuzzAdaptiveDecode for the layout).
+func damaged(clean *engine.Transcript, data []byte) *engine.Transcript {
+	type lane struct {
+		buf  []byte
+		nbit int
+	}
+	rounds := clean.Rounds()
+	msgs := make([][]lane, rounds)
+	feedback := make([]lane, rounds)
+	for r := range msgs {
+		msgs[r] = make([]lane, clean.Players(r))
+		for v := range msgs[r] {
+			msgs[r][v] = lane{clean.AppendMessage(nil, r, v), clean.BitLen(r, v)}
+		}
+		feedback[r] = lane{clean.AppendFeedback(nil, r), clean.FeedbackBitLen(r)}
+	}
+	for ; len(data) >= 4; data = data[4:] {
+		r := int(data[0]>>2) % rounds
+		l := &feedback[r]
+		if data[0]&1 == 0 {
+			l = &msgs[r][int(data[1])%len(msgs[r])]
+		}
+		pos := int(data[2])<<8 | int(data[3])
+		if data[0]&2 == 0 {
+			if l.nbit > 0 {
+				pos %= l.nbit
+				l.buf[pos/8] ^= 1 << (pos % 8)
+			}
+			continue
+		}
+		l.nbit = pos % (l.nbit + 1)
+		l.buf = l.buf[:(l.nbit+7)/8]
+		if rem := l.nbit % 8; rem != 0 {
+			l.buf[len(l.buf)-1] &= 1<<rem - 1
+		}
+	}
+	tr := engine.NewTranscript()
+	for r := range msgs {
+		round := make([]*bitio.Writer, len(msgs[r]))
+		for v, m := range msgs[r] {
+			round[v] = bitio.NewWriterFrom(m.buf, m.nbit)
+		}
+		tr.SealRound(round)
+		tr.SealFeedback(bitio.NewWriterFrom(feedback[r].buf, feedback[r].nbit))
+	}
+	return tr
 }

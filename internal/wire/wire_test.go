@@ -314,6 +314,27 @@ func TestExecuteBatchReportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestOneVertexEqualityErrors: the equality problem compares vertices 0
+// and 1, so a one-vertex graph of any kind must come back as an error
+// from ExecuteSpec, not a panic on an engine worker.
+func TestOneVertexEqualityErrors(t *testing.T) {
+	for _, g := range []GraphSpec{
+		{Kind: "gnp", N: 1, P: 0.5},
+		{Kind: "path", N: 1},
+		{Kind: "star", N: 1},
+		{Kind: "complete", N: 1},
+		{Kind: "grid", R: 1, T: 1},
+	} {
+		spec := RunSpec{Label: "poison", Protocol: "equality-public-coin", Graph: g, Seed: 1}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%s: %v", g.Kind, err)
+		}
+		if _, err := ExecuteSpec(context.Background(), spec); err == nil || !strings.Contains(err.Error(), "n >= 2") {
+			t.Fatalf("%s: error %v, want the n >= 2 error", g.Kind, err)
+		}
+	}
+}
+
 func TestValidateRejects(t *testing.T) {
 	base := SmokeSpecs(1)[0]
 	cases := []struct {
